@@ -31,7 +31,9 @@ SD_STRESS_ITERS=200 cargo test -q --release --test parallel_exactness \
 
 echo "==> frame-path exactness"
 # Whole-frame submission must be bit-identical to per-vector submission
-# through every registry tier, including under overload/shedding.
+# through every registry tier, including under overload/shedding; a
+# one-subcarrier frame must match a vector counter for counter, and
+# frames sharing a channel must hit the prep cache.
 cargo test -q --test serve_frames
 
 echo "==> shard matrix (SD_SHARDS in 1 2 4)"
@@ -57,6 +59,7 @@ echo "==> fused block decode exactness"
 # tripped and untripped — and exactly allocation-free in steady state.
 cargo test -q --release --test block_fused
 cargo test -q --release --test alloc_free fused_block_decode
+cargo test -q --release --test alloc_free served_frames
 
 echo "==> anytime exactness + truncation + predictive admission"
 # An unexhausted decode budget must change *nothing*: served decisions
@@ -74,6 +77,12 @@ echo "==> serve_demo --smoke"
 # and self-validating the JSON line — including the quality-counter and
 # predictive-shed rows — (non-zero on failure).
 cargo run --release --example serve_demo -- --smoke >/dev/null
+
+echo "==> sdbench --smoke"
+# The repository benchmark end to end on every workload for about 2 s
+# each, with every check on: workload sanity gate, served decisions
+# against the replay, BER and drain checks (non-zero on any failure).
+cargo run --release -p sd-bench --bin sdbench -- --smoke >/dev/null
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -53,21 +53,16 @@
 //! Like `expansion.rs` this bench has a hand-rolled `main` that writes
 //! `BENCH_serve.json` in the repo root.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sd_core::{
     BestFirstSd, KBestSd, MmseDetector, PreparedDetector, QuantizedKBestSd, SphereDecoder,
 };
 use sd_serve::{
     build_coherent_requests, build_frame_requests, default_core_allowance, explode_frames,
-    host_cores, run_frame_load, run_load, run_request_stream, BatchPolicy, DetectionRequest,
-    FrameLoadConfig, FrameLoadReport, LadderConfig, LoadConfig, LoadReport, MetricsSnapshot,
-    ServeConfig, ServeRuntime, Tier, TierCostClass,
+    host_cores, run_frame_load, run_load, run_request_stream, BatchPolicy, FrameLoadConfig,
+    FrameLoadReport, LadderConfig, LoadConfig, LoadReport, MetricsSnapshot, ServeConfig,
+    ServeRuntime, Tier, TierCostClass,
 };
-use sd_wireless::{
-    noise_variance, Channel, Constellation, FrameData, GridConfig, Modulation, TxFrame,
-    REAL_TIME_BUDGET,
-};
+use sd_wireless::{Constellation, GridConfig, Modulation, REAL_TIME_BUDGET};
 use std::time::{Duration, Instant};
 
 /// Workers in every scenario: the host's core allowance (the old
@@ -238,31 +233,6 @@ fn coherent_workload() -> LoadConfig {
     }
 }
 
-/// A block-fading request stream: one Rayleigh channel per coherence
-/// block, each request in the block a fresh transmit vector through it.
-fn coherent_requests(cfg: &LoadConfig, c: &Constellation) -> Vec<DetectionRequest> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let snr = cfg.snr_grid_db[0];
-    let sigma2 = noise_variance(snr, cfg.n_tx);
-    let mut channel = Channel::rayleigh(cfg.n_rx, cfg.n_tx, &mut rng);
-    (0..cfg.n_requests)
-        .map(|i| {
-            if i > 0 && i % COHERENCE_BLOCK == 0 {
-                channel = Channel::rayleigh(cfg.n_rx, cfg.n_tx, &mut rng);
-            }
-            let tx = TxFrame::random(cfg.n_tx, c, &mut rng);
-            let y = channel.transmit(&tx.symbols, sigma2, &mut rng);
-            let frame = FrameData {
-                h: channel.matrix().clone(),
-                y,
-                noise_variance: sigma2,
-                tx,
-            };
-            DetectionRequest::new(i as u64, frame, snr, cfg.deadline)
-        })
-        .collect()
-}
-
 /// Firehose the coherent workload through a single-tier exact runtime with
 /// the given prep-cache capacity; return (throughput, final snapshot).
 fn prep_cache_point(cache: usize) -> (f64, MetricsSnapshot) {
@@ -276,7 +246,7 @@ fn prep_cache_point(cache: usize) -> (f64, MetricsSnapshot) {
             .with_ladder(ladder(false)),
         c.clone(),
     );
-    let reqs = coherent_requests(&cfg, &c);
+    let reqs = build_coherent_requests(&cfg, COHERENCE_BLOCK, &c);
     let n = reqs.len();
     let t0 = Instant::now();
     for req in reqs {

@@ -87,9 +87,9 @@ pub use ml::MlDetector;
 pub use parallel::{ParallelSphereDecoder, SubtreeParallelSd, WorkerBudget};
 pub use pd::EvalStrategy;
 pub use preprocess::{
-    prepare_channel_into, prepare_frame_block_into, prepare_with_channel_into, preprocess,
-    preprocess_ordered, preprocess_ordered_into, BlockPrep, ChannelObservables, ChannelPrep,
-    ColumnOrdering, PrepScratch, Prepared,
+    prepare_block_with_channel_into, prepare_channel_into, prepare_frame_block_into,
+    prepare_with_channel_into, preprocess, preprocess_ordered, preprocess_ordered_into, BlockPrep,
+    ChannelObservables, ChannelPrep, ColumnOrdering, PrepScratch, Prepared,
 };
 pub use quantized::{
     FxPrepared, QuantizedFsd, QuantizedKBestSd, QuantizedSphereDecoder, MAX_QUANT_DEGRADATION_DB,

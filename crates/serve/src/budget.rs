@@ -93,7 +93,7 @@ const UNSAMPLED: u64 = 0x7FF8_0000_0000_0000;
 /// SNR bucket index. Total: every `f64` maps somewhere. Non-finite SNR
 /// maps to bucket 0 like any very low SNR — but it can only be *read*
 /// there: request construction rejects non-finite SNR and
-/// [`CostModel::observe_with`] refuses to train on it, so the low-SNR
+/// [`CostModel::observe`] refuses to train on it, so the low-SNR
 /// curve cannot be poisoned through this path.
 fn bucket(snr_db: f64) -> usize {
     if snr_db.is_nan() {
@@ -216,13 +216,6 @@ pub struct CostModel {
     /// EWMA of decode nanoseconds per generated node (f64 bits), fed by
     /// every tree-search decode regardless of tier.
     ns_per_node: AtomicU64,
-    /// Tier-blind EWMA of per-vector service nanoseconds (f64 bits), fed
-    /// by every observation regardless of class. This is the runtime's
-    /// drain-rate estimate: under a degradation ladder the served mix is
-    /// bimodal (exact decodes vs floor-tier microseconds), and the EWMA
-    /// of the *mix* — not any one tier's curve — is what predicts how
-    /// fast a backlog in front of a new request will clear.
-    mean_service_ns: AtomicU64,
 }
 
 impl CostModel {
@@ -237,33 +230,20 @@ impl CostModel {
                 })
                 .collect(),
             ns_per_node: AtomicU64::new(UNSAMPLED),
-            mean_service_ns: AtomicU64::new(UNSAMPLED),
         }
     }
 
     /// Record one served decode at tier `tier` with cost class `class`.
     /// Tree tiers (`nodes_generated > 0` required) feed the shared node
-    /// rate, adaptive tiers additionally feed their per-SNR node curve,
-    /// and every tier feeds its own service-time EWMA. Equivalent to
-    /// [`CostModel::observe_with`] with no condition observable.
+    /// rate, adaptive tiers additionally feed their per-SNR node curve —
+    /// and, when the decode carried the channel-conditioning observable
+    /// (`condition_log2`, see [`sd_core::ChannelObservables`]), the
+    /// (SNR, condition) cell, so later predictions can separate benign
+    /// from near-singular channels at the same SNR — and every tier feeds
+    /// its own service-time EWMA. A non-finite `snr_db` trains nothing
+    /// SNR-keyed: it would land in bucket 0 and poison the lowest-SNR
+    /// curve.
     pub fn observe(
-        &self,
-        tier: usize,
-        class: &TierCostClass,
-        snr_db: f64,
-        nodes_generated: u64,
-        elapsed_ns: u64,
-    ) {
-        self.observe_with(tier, class, snr_db, None, nodes_generated, elapsed_ns);
-    }
-
-    /// [`CostModel::observe`] carrying the channel-conditioning observable
-    /// (`condition_log2`, see [`sd_core::ChannelObservables`]): adaptive
-    /// observations additionally train the (SNR, condition) cell so later
-    /// predictions can separate benign from near-singular channels at the
-    /// same SNR. A non-finite `snr_db` trains nothing SNR-keyed — it would
-    /// land in bucket 0 and poison the lowest-SNR curve.
-    pub fn observe_with(
         &self,
         tier: usize,
         class: &TierCostClass,
@@ -274,7 +254,6 @@ impl CostModel {
     ) {
         let cells = &self.tiers[tier];
         ewma_update(&cells.service_ns, elapsed_ns as f64);
-        ewma_update(&self.mean_service_ns, elapsed_ns as f64);
         match class {
             TierCostClass::Adaptive | TierCostClass::Fixed(_) => {
                 if nodes_generated == 0 {
@@ -301,23 +280,10 @@ impl CostModel {
 
     /// Predicted decode nanoseconds for tier `tier` under `class` at this
     /// operating point; 0 (optimistic) until the relevant cells have
-    /// samples. Equivalent to [`CostModel::predict_ns_with`] with no
-    /// condition observable.
+    /// samples. An adaptive tier reads the (SNR, condition) cell when a
+    /// condition observable is given and that cell has samples, the SNR
+    /// marginal otherwise.
     pub fn predict_ns(
-        &self,
-        tier: usize,
-        class: &TierCostClass,
-        snr_db: f64,
-        m: usize,
-        p: usize,
-    ) -> f64 {
-        self.predict_ns_with(tier, class, snr_db, None, m, p)
-    }
-
-    /// [`CostModel::predict_ns`] carrying the channel-conditioning
-    /// observable: an adaptive tier reads the (SNR, condition) cell when
-    /// it has samples, falling back to the SNR marginal otherwise.
-    pub fn predict_ns_with(
         &self,
         tier: usize,
         class: &TierCostClass,
@@ -328,27 +294,18 @@ impl CostModel {
     ) -> f64 {
         match class {
             TierCostClass::Adaptive => {
-                self.predicted_nodes_with(tier, snr_db, condition_log2) * self.ns_per_node()
+                self.predicted_nodes(tier, snr_db, condition_log2) * self.ns_per_node()
             }
             TierCostClass::Fixed(nodes) => nodes(m, p) as f64 * self.ns_per_node(),
             TierCostClass::Linear => self.tier_service_ns(tier),
         }
     }
 
-    /// Expected nodes for an adaptive tier at this SNR (0 when unsampled).
-    pub fn predicted_nodes(&self, tier: usize, snr_db: f64) -> f64 {
-        load_sample(&self.tiers[tier].nodes[bucket(snr_db)])
-    }
-
     /// Expected nodes for an adaptive tier at this (SNR, condition)
-    /// operating point, falling back to the SNR marginal when the
-    /// conditioned cell is unsampled or no condition was supplied.
-    pub fn predicted_nodes_with(
-        &self,
-        tier: usize,
-        snr_db: f64,
-        condition_log2: Option<f64>,
-    ) -> f64 {
+    /// operating point (0 when unsampled), falling back to the SNR
+    /// marginal when the conditioned cell is unsampled or no condition was
+    /// supplied.
+    pub fn predicted_nodes(&self, tier: usize, snr_db: f64, condition_log2: Option<f64>) -> f64 {
         let cells = &self.tiers[tier];
         let b = bucket(snr_db);
         if let Some(c) = condition_log2 {
@@ -368,28 +325,6 @@ impl CostModel {
     /// Observed mean service time of tier `tier` in ns (0 when unsampled).
     pub fn tier_service_ns(&self, tier: usize) -> f64 {
         load_sample(&self.tiers[tier].service_ns)
-    }
-
-    /// Tier-blind mean per-vector service time in ns (0 when unsampled) —
-    /// the drain rate of whatever tier mix this model's shard is serving.
-    pub fn mean_service_ns(&self) -> f64 {
-        load_sample(&self.mean_service_ns)
-    }
-
-    /// Predicted queue wait in front of a newly offered request:
-    /// `backlog` already-queued vectors (frames weighted by block size)
-    /// drained by `workers` at the observed [`CostModel::mean_service_ns`]
-    /// rate. Cold model → 0 (optimistic: admit until there is evidence).
-    ///
-    /// This is the *coarse*, tier-blind estimate. The runtime's admission
-    /// path no longer uses it: each queued item is stamped at submit with
-    /// the per-tier prediction for the rung the ladder would run it on,
-    /// and the shard sums those stamps — so a backlog of floor-tier
-    /// microseconds is no longer priced at the mean of a mix dominated by
-    /// exact-tier milliseconds. Kept as the model-level primitive for
-    /// callers without per-item stamps.
-    pub fn predicted_wait_ns(&self, backlog: u64, workers: usize) -> f64 {
-        backlog as f64 * self.mean_service_ns() / workers.max(1) as f64
     }
 
     /// Number of registered tiers.
@@ -462,9 +397,15 @@ mod tests {
     fn cold_model_is_optimistic() {
         let m = CostModel::new(3);
         let kb = TierCostClass::fixed_kbest(16);
-        assert_eq!(m.predict_ns(0, &TierCostClass::Adaptive, 8.0, 8, 4), 0.0);
-        assert_eq!(m.predict_ns(1, &kb, 8.0, 8, 4), 0.0);
-        assert_eq!(m.predict_ns(2, &TierCostClass::Linear, 8.0, 8, 4), 0.0);
+        assert_eq!(
+            m.predict_ns(0, &TierCostClass::Adaptive, 8.0, None, 8, 4),
+            0.0
+        );
+        assert_eq!(m.predict_ns(1, &kb, 8.0, None, 8, 4), 0.0);
+        assert_eq!(
+            m.predict_ns(2, &TierCostClass::Linear, 8.0, None, 8, 4),
+            0.0
+        );
     }
 
     #[test]
@@ -472,20 +413,23 @@ mod tests {
         let m = CostModel::new(1);
         let exact = TierCostClass::Adaptive;
         // Low SNR: big trees. High SNR: small trees. Same node rate.
-        m.observe(0, &exact, 4.0, 10_000, 1_000_000);
-        m.observe(0, &exact, 20.0, 100, 10_000);
-        assert!(m.predict_ns(0, &exact, 4.0, 8, 4) > 50.0 * m.predict_ns(0, &exact, 20.0, 8, 4));
+        m.observe(0, &exact, 4.0, None, 10_000, 1_000_000);
+        m.observe(0, &exact, 20.0, None, 100, 10_000);
+        assert!(
+            m.predict_ns(0, &exact, 4.0, None, 8, 4)
+                > 50.0 * m.predict_ns(0, &exact, 20.0, None, 8, 4)
+        );
         assert!((m.ns_per_node() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn ewma_converges_toward_new_regime() {
         let m = CostModel::new(1);
-        m.observe(0, &TierCostClass::Adaptive, 8.0, 1_000, 100_000);
+        m.observe(0, &TierCostClass::Adaptive, 8.0, None, 1_000, 100_000);
         for _ in 0..50 {
-            m.observe(0, &TierCostClass::Adaptive, 8.0, 3_000, 300_000);
+            m.observe(0, &TierCostClass::Adaptive, 8.0, None, 3_000, 300_000);
         }
-        let nodes = m.predicted_nodes(0, 8.0);
+        let nodes = m.predicted_nodes(0, 8.0, None);
         assert!(nodes > 2_900.0 && nodes <= 3_000.0, "nodes = {nodes}");
     }
 
@@ -493,37 +437,27 @@ mod tests {
     fn fixed_observation_does_not_bias_adaptive_curve() {
         let m = CostModel::new(2);
         let kb = TierCostClass::fixed_kbest(8);
-        m.observe(1, &kb, 8.0, 500, 50_000);
-        assert_eq!(m.predicted_nodes(0, 8.0), 0.0, "exact curve untouched");
-        assert_eq!(m.predicted_nodes(1, 8.0), 0.0, "only node rate learned");
+        m.observe(1, &kb, 8.0, None, 500, 50_000);
+        assert_eq!(
+            m.predicted_nodes(0, 8.0, None),
+            0.0,
+            "exact curve untouched"
+        );
+        assert_eq!(
+            m.predicted_nodes(1, 8.0, None),
+            0.0,
+            "only node rate learned"
+        );
         assert!(m.ns_per_node() > 0.0);
-    }
-
-    #[test]
-    fn predicted_wait_is_cold_optimistic_and_scales_with_backlog() {
-        let m = CostModel::new(2);
-        // Cold: no drain-rate evidence, admit everything.
-        assert_eq!(m.mean_service_ns(), 0.0);
-        assert_eq!(m.predicted_wait_ns(1_000, 1), 0.0);
-        // Every observation feeds the tier-blind mean, whatever the class.
-        m.observe(0, &TierCostClass::Adaptive, 8.0, 100, 10_000);
-        m.observe(1, &TierCostClass::Linear, 8.0, 0, 10_000);
-        assert_eq!(m.mean_service_ns(), 10_000.0);
-        assert_eq!(m.predicted_wait_ns(10, 1), 100_000.0);
-        // More workers drain the same backlog proportionally faster; a
-        // zero worker count must not divide by zero.
-        assert_eq!(m.predicted_wait_ns(10, 2), 50_000.0);
-        assert_eq!(m.predicted_wait_ns(10, 0), 100_000.0);
-        assert_eq!(m.predicted_wait_ns(0, 1), 0.0);
     }
 
     #[test]
     fn linear_tier_predicts_its_own_service_time() {
         let m = CostModel::new(1);
         let lin = TierCostClass::Linear;
-        m.observe(0, &lin, 8.0, 0, 40_000);
+        m.observe(0, &lin, 8.0, None, 0, 40_000);
         assert_eq!(m.tier_service_ns(0), 40_000.0);
-        assert_eq!(m.predict_ns(0, &lin, 8.0, 8, 4), 40_000.0);
+        assert_eq!(m.predict_ns(0, &lin, 8.0, None, 8, 4), 40_000.0);
         assert_eq!(m.ns_per_node(), 0.0, "no tree, no node rate");
     }
 
@@ -535,8 +469,8 @@ mod tests {
     fn zero_valued_observation_is_a_real_sample() {
         let m = CostModel::new(1);
         let lin = TierCostClass::Linear;
-        m.observe(0, &lin, 8.0, 0, 0);
-        m.observe(0, &lin, 8.0, 0, 50_000);
+        m.observe(0, &lin, 8.0, None, 0, 0);
+        m.observe(0, &lin, 8.0, None, 0, 50_000);
         let got = m.tier_service_ns(0);
         let want = ALPHA * 50_000.0;
         assert!(
@@ -566,9 +500,16 @@ mod tests {
         assert_eq!(bucket(f64::INFINITY), N_SNR_BUCKETS - 1);
         assert_eq!(bucket(f64::NEG_INFINITY), 0);
         let m = CostModel::new(1);
-        m.observe(0, &TierCostClass::Adaptive, f64::NAN, 1_000_000, 1_000);
+        m.observe(
+            0,
+            &TierCostClass::Adaptive,
+            f64::NAN,
+            None,
+            1_000_000,
+            1_000,
+        );
         assert_eq!(
-            m.predicted_nodes(0, 0.0),
+            m.predicted_nodes(0, 0.0, None),
             0.0,
             "NaN-SNR observation must not write any SNR bucket"
         );
@@ -594,18 +535,18 @@ mod tests {
         let m = CostModel::new(1);
         let exact = TierCostClass::Adaptive;
         // Same SNR, two channel regimes: benign vs near-singular.
-        m.observe_with(0, &exact, 8.0, Some(0.5), 200, 20_000);
-        m.observe_with(0, &exact, 8.0, Some(6.0), 20_000, 2_000_000);
-        let benign = m.predicted_nodes_with(0, 8.0, Some(0.5));
-        let skewed = m.predicted_nodes_with(0, 8.0, Some(6.0));
+        m.observe(0, &exact, 8.0, Some(0.5), 200, 20_000);
+        m.observe(0, &exact, 8.0, Some(6.0), 20_000, 2_000_000);
+        let benign = m.predicted_nodes(0, 8.0, Some(0.5));
+        let skewed = m.predicted_nodes(0, 8.0, Some(6.0));
         assert!(
             skewed > 50.0 * benign,
             "conditioning must separate: benign {benign}, skewed {skewed}"
         );
         // A cold conditioned cell falls back to the SNR marginal, which
         // blends both regimes.
-        let marginal = m.predicted_nodes(0, 8.0);
-        assert_eq!(m.predicted_nodes_with(0, 8.0, Some(2.0)), marginal);
-        assert_eq!(m.predicted_nodes_with(0, 8.0, None), marginal);
+        let marginal = m.predicted_nodes(0, 8.0, None);
+        assert_eq!(m.predicted_nodes(0, 8.0, Some(2.0)), marginal);
+        assert_eq!(m.predicted_nodes(0, 8.0, None), marginal);
     }
 }

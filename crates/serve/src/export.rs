@@ -2,15 +2,15 @@
 //! and JSON lines.
 //!
 //! Both renderers are dependency-free string builders (the workspace
-//! carries no JSON library), covering the full snapshot: admission and
-//! serve counters, deadline accounting, batch shape, latency / queue-wait
-//! quantiles, per-tier serve counts with the cost-model
-//! `|predicted − actual|` error quantiles, and the aggregated decoder
-//! stats. [`validate_json`] is a minimal recursive-descent JSON checker
-//! used by the demo's smoke mode (and tests) to prove the emitted line
-//! actually parses.
+//! carries no JSON library) that walk the rows the metric declarations
+//! generate ([`crate::metrics`]), so every declared metric appears in
+//! both formats under one name: the runtime-wide set, then one labelled
+//! sample (Prometheus) or array element (JSON) per shard and per tier.
+//! [`validate_json`] is a minimal recursive-descent JSON checker used by
+//! the demo's smoke mode (and tests) to prove the emitted line actually
+//! parses.
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Kind, MetricsSnapshot, Row, ShardSnapshot, TierSnapshot, Value};
 use std::fmt::Write as _;
 
 /// Rendering used by the export helpers and the periodic reporter.
@@ -39,6 +39,15 @@ fn json_f64(v: f64) -> f64 {
     }
 }
 
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Float(v) => write!(f, "{}", json_f64(v)),
+        }
+    }
+}
+
 /// Escape a string for a JSON string literal or a Prometheus label value.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -58,408 +67,95 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// Write one metric set in the Prometheus format: a `# HELP` / `# TYPE`
+/// header per family, then one sample per member, where a member is one
+/// label set (`""` for the runtime-wide set) and its snapshot.
+fn prometheus_set<S>(o: &mut String, prefix: &str, rows: &[Row<S>], members: &[(String, &S)]) {
+    let mut family = "";
+    for row in rows {
+        let (suffix, ty, quantile) = match row.kind {
+            Kind::Counter => ("_total", "counter", None),
+            Kind::Gauge => ("", "gauge", None),
+            Kind::Quantile(q) => ("", "summary", Some(q)),
+        };
+        let name = format!("{prefix}{}{suffix}", row.family);
+        if row.family != family {
+            family = row.family;
+            let _ = writeln!(o, "# HELP {name} {}", row.help.trim());
+            let _ = writeln!(o, "# TYPE {name} {ty}");
+        }
+        for (labels, snap) in members {
+            let quantile = quantile.map(|q| format!("quantile=\"{q}\""));
+            let labels: Vec<&str> = [Some(labels.as_str()), quantile.as_deref()]
+                .into_iter()
+                .flatten()
+                .filter(|l| !l.is_empty())
+                .collect();
+            let value = (row.read)(snap);
+            if labels.is_empty() {
+                let _ = writeln!(o, "{name} {value}");
+            } else {
+                let _ = writeln!(o, "{name}{{{}}} {value}", labels.join(","));
+            }
+        }
+    }
+}
+
 /// Render a snapshot in the Prometheus text exposition format.
 ///
 /// Counter samples carry the conventional `_total` suffix; quantile
-/// summaries use a `quantile` label; per-tier samples a `tier` label.
+/// summaries use a `quantile` label; per-shard and per-tier samples a
+/// `shard` and a `tier` label.
 pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
-    let mut o = String::with_capacity(2048);
-    let mut counter = |name: &str, help: &str, v: u64| {
-        let _ = writeln!(o, "# HELP {name} {help}");
-        let _ = writeln!(o, "# TYPE {name} counter");
-        let _ = writeln!(o, "{name} {v}");
-    };
-    counter(
-        "sd_serve_accepted_total",
-        "Requests admitted into the ingress queue.",
-        snap.accepted,
-    );
-    counter(
-        "sd_serve_rejected_full_total",
-        "Requests shed at admission (queue full).",
-        snap.rejected_full,
-    );
-    counter(
-        "sd_serve_rejected_shutdown_total",
-        "Requests refused during shutdown.",
-        snap.rejected_shutdown,
-    );
-    counter(
-        "sd_serve_rejected_predicted_late_total",
-        "Requests shed by predictive admission (predicted wait exceeded the deadline).",
-        snap.rejected_predicted,
-    );
-    counter("sd_serve_served_total", "Responses produced.", snap.served);
-    counter(
-        "sd_serve_deadline_missed_total",
-        "Responses that exceeded their deadline.",
-        snap.deadline_missed,
-    );
-    counter(
-        "sd_serve_quality_exact_total",
-        "Responses whose search ran to completion (exact quality).",
-        snap.quality_exact,
-    );
-    counter(
-        "sd_serve_budget_exhausted_total",
-        "Responses truncated by their decode budget (anytime best-so-far).",
-        snap.budget_exhausted,
-    );
-    counter(
-        "sd_serve_prep_cache_hits_total",
-        "Requests whose preparation reused a cached channel factorization.",
-        snap.prep_cache_hits,
-    );
-    counter(
-        "sd_serve_prep_cache_misses_total",
-        "Requests whose preparation factored and cached their channel.",
-        snap.prep_cache_misses,
-    );
-    counter(
-        "sd_serve_prep_cache_bypass_total",
-        "Requests prepared outside the channel cache.",
-        snap.prep_cache_bypass,
-    );
-    counter(
-        "sd_serve_batches_total",
-        "Batches drained from the ingress queue.",
-        snap.batches,
-    );
-    counter(
-        "sd_serve_frames_accepted_total",
-        "Frame (coherence-block) requests admitted.",
-        snap.frames_accepted,
-    );
-    counter(
-        "sd_serve_frames_rejected_full_total",
-        "Frame requests shed at admission (queue full).",
-        snap.frames_rejected_full,
-    );
-    counter(
-        "sd_serve_frames_rejected_shutdown_total",
-        "Frame requests refused during shutdown.",
-        snap.frames_rejected_shutdown,
-    );
-    counter(
-        "sd_serve_frames_rejected_predicted_late_total",
-        "Frame requests shed by predictive admission.",
-        snap.frames_rejected_predicted,
-    );
-    counter(
-        "sd_serve_frames_served_total",
-        "Frame responses produced.",
-        snap.frames_served,
-    );
-    counter(
-        "sd_serve_frames_fused_total",
-        "Frames decoded by the cross-subcarrier fused block path.",
-        snap.frames_fused,
-    );
-    counter(
-        "sd_serve_frames_deadline_missed_total",
-        "Frames that exceeded their deadline.",
-        snap.frames_deadline_missed,
-    );
-    counter(
-        "sd_serve_frame_subcarriers_total",
-        "Subcarriers decoded through the frame path.",
-        snap.frame_subcarriers,
-    );
-    counter(
-        "sd_serve_frame_prep_factors_total",
-        "Channel preparations performed by the frame path.",
-        snap.frame_prep_factors,
-    );
-    counter(
-        "sd_serve_nodes_generated_total",
-        "Search-tree nodes generated across all served decodes.",
-        snap.stats.nodes_generated,
-    );
-    counter(
-        "sd_serve_budget_replans_total",
-        "Core-budget plan changes by the adaptive controller.",
-        snap.budget_replans,
-    );
-
-    let mut gauge = |name: &str, help: &str, v: f64| {
-        let _ = writeln!(o, "# HELP {name} {help}");
-        let _ = writeln!(o, "# TYPE {name} gauge");
-        let _ = writeln!(o, "{name} {}", json_f64(v));
-    };
-    gauge(
-        "sd_serve_deadline_miss_rate",
-        "deadline_missed / served.",
-        snap.deadline_miss_rate,
-    );
-    gauge(
-        "sd_serve_mean_batch_size",
-        "Mean requests per batch.",
-        snap.mean_batch_size,
-    );
-    gauge(
-        "sd_serve_queue_depth",
-        "Ingress backlog at snapshot time.",
-        snap.queue_depth as f64,
-    );
-    gauge(
-        "sd_serve_mean_frame_size",
-        "Mean subcarriers per served frame.",
-        snap.mean_frame_size,
-    );
-    gauge(
-        "sd_serve_prep_amortization",
-        "Subcarriers served per channel preparation on the frame path.",
-        snap.prep_amortization,
-    );
-    gauge(
-        "sd_serve_host_cores",
-        "Logical cores the host reported at startup.",
-        snap.host_cores as f64,
-    );
-    gauge(
-        "sd_serve_n_shards",
-        "Number of runtime shards.",
-        snap.n_shards as f64,
-    );
-    gauge(
-        "sd_serve_core_budget",
-        "Subtree-decoder lane allowance planned by the controller.",
-        snap.core_budget as f64,
-    );
-
-    // Per-shard rows: the shard index is the label, so one scrape shows
-    // where affinity routing concentrated the traffic and how much of it
-    // moved by stealing.
-    let shard_counter = |o: &mut String, name: &str, help: &str, pick: &dyn Fn(usize) -> u64| {
-        let _ = writeln!(o, "# HELP {name} {help}");
-        let _ = writeln!(o, "# TYPE {name} counter");
-        for i in 0..snap.shards.len() {
-            let _ = writeln!(o, "{name}{{shard=\"{i}\"}} {}", pick(i));
-        }
-    };
-    shard_counter(
+    let mut o = String::with_capacity(4096);
+    prometheus_set(
         &mut o,
-        "sd_serve_shard_routed_total",
-        "Items admission routed to this shard.",
-        &|i| snap.shards[i].routed,
+        "sd_serve_",
+        MetricsSnapshot::ROWS,
+        &[(String::new(), snap)],
     );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_served_total",
-        "Items served by this shard's workers.",
-        &|i| snap.shards[i].served,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_affinity_served_total",
-        "Items served from this shard's own affinity-routed queue.",
-        &|i| snap.shards[i].affinity_served,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_stolen_in_total",
-        "Items this shard's workers stole from other shards.",
-        &|i| snap.shards[i].stolen_in,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_stolen_out_total",
-        "Items other shards stole from this queue.",
-        &|i| snap.shards[i].stolen_out,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_prep_hits_total",
-        "Prep-cache hits on this shard.",
-        &|i| snap.shards[i].prep_hits,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_prep_misses_total",
-        "Prep-cache misses on this shard.",
-        &|i| snap.shards[i].prep_misses,
-    );
-    shard_counter(
-        &mut o,
-        "sd_serve_shard_prep_bypass_total",
-        "Prep-cache bypasses on this shard.",
-        &|i| snap.shards[i].prep_bypass,
-    );
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_shard_queue_depth This shard queue's backlog at snapshot time."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_shard_queue_depth gauge");
-    for (i, s) in snap.shards.iter().enumerate() {
-        let _ = writeln!(
-            o,
-            "sd_serve_shard_queue_depth{{shard=\"{i}\"}} {}",
-            s.queue_depth
-        );
-    }
-
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_latency_us End-to-end latency quantiles (bucket upper bound)."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_latency_us summary");
-    let _ = writeln!(
-        o,
-        "sd_serve_latency_us{{quantile=\"0.5\"}} {}",
-        json_f64(snap.p50_latency_us)
-    );
-    let _ = writeln!(
-        o,
-        "sd_serve_latency_us{{quantile=\"0.99\"}} {}",
-        json_f64(snap.p99_latency_us)
-    );
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_frame_latency_us Frame end-to-end latency quantiles (bucket upper bound)."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_frame_latency_us summary");
-    let _ = writeln!(
-        o,
-        "sd_serve_frame_latency_us{{quantile=\"0.99\"}} {}",
-        json_f64(snap.p99_frame_latency_us)
-    );
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_queue_wait_us Queue-wait quantiles (bucket upper bound)."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_queue_wait_us summary");
-    let _ = writeln!(
-        o,
-        "sd_serve_queue_wait_us{{quantile=\"0.99\"}} {}",
-        json_f64(snap.p99_queue_wait_us)
-    );
-
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_tier_served_total Responses served per ladder tier."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_tier_served_total counter");
-    for t in &snap.tiers {
-        let _ = writeln!(
-            o,
-            "sd_serve_tier_served_total{{tier=\"{}\"}} {}",
-            escape(&t.label),
-            t.served
-        );
-    }
-    let _ = writeln!(
-        o,
-        "# HELP sd_serve_tier_predict_err_us Cost-model |predicted-actual| decode time per tier."
-    );
-    let _ = writeln!(o, "# TYPE sd_serve_tier_predict_err_us summary");
-    for t in &snap.tiers {
-        let _ = writeln!(
-            o,
-            "sd_serve_tier_predict_err_us{{tier=\"{}\",quantile=\"0.5\"}} {}",
-            escape(&t.label),
-            json_f64(t.p50_predict_err_us)
-        );
-        let _ = writeln!(
-            o,
-            "sd_serve_tier_predict_err_us{{tier=\"{}\",quantile=\"0.99\"}} {}",
-            escape(&t.label),
-            json_f64(t.p99_predict_err_us)
-        );
-    }
+    let shards: Vec<(String, &ShardSnapshot)> = snap
+        .shards
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (format!("shard=\"{i}\""), s))
+        .collect();
+    prometheus_set(&mut o, "sd_serve_shard_", ShardSnapshot::ROWS, &shards);
+    let tiers: Vec<(String, &TierSnapshot)> = snap
+        .tiers
+        .iter()
+        .map(|t| (format!("tier=\"{}\"", escape(&t.label)), t))
+        .collect();
+    prometheus_set(&mut o, "sd_serve_tier_", TierSnapshot::ROWS, &tiers);
     o
+}
+
+/// Write one snapshot's rows as comma-separated JSON members.
+fn json_set<S>(o: &mut String, rows: &[Row<S>], snap: &S) {
+    for (i, row) in rows.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(o, "{sep}\"{}\":{}", row.key, (row.read)(snap));
+    }
 }
 
 /// Render a snapshot as one self-contained JSON object (no trailing
 /// newline) — the JSON-lines record format.
 pub fn json_line(snap: &MetricsSnapshot) -> String {
-    let mut o = String::with_capacity(1024);
-    let _ = write!(
-        o,
-        "{{\"accepted\":{},\"rejected_full\":{},\"rejected_shutdown\":{},\
-         \"rejected_predicted_late\":{},\"served\":{},\
-         \"deadline_missed\":{},\"deadline_miss_rate\":{},\
-         \"quality_exact\":{},\"budget_exhausted\":{},\"prep_cache_hits\":{},\
-         \"prep_cache_misses\":{},\"prep_cache_bypass\":{},\"batches\":{},\
-         \"mean_batch_size\":{},\"frames_accepted\":{},\"frames_rejected_full\":{},\
-         \"frames_rejected_shutdown\":{},\"frames_rejected_predicted_late\":{},\
-         \"frames_served\":{},\"frames_fused\":{},\
-         \"frames_deadline_missed\":{},\"frame_subcarriers\":{},\
-         \"frame_prep_factors\":{},\"mean_frame_size\":{},\"prep_amortization\":{},\
-         \"p99_frame_latency_us\":{},\"queue_depth\":{},\"p50_latency_us\":{},\
-         \"p99_latency_us\":{},\"p99_queue_wait_us\":{},\"nodes_generated\":{},\
-         \"leaves_reached\":{},\"host_cores\":{},\"n_shards\":{},\"core_budget\":{},\
-         \"budget_replans\":{},\"shards\":[",
-        snap.accepted,
-        snap.rejected_full,
-        snap.rejected_shutdown,
-        snap.rejected_predicted,
-        snap.served,
-        snap.deadline_missed,
-        json_f64(snap.deadline_miss_rate),
-        snap.quality_exact,
-        snap.budget_exhausted,
-        snap.prep_cache_hits,
-        snap.prep_cache_misses,
-        snap.prep_cache_bypass,
-        snap.batches,
-        json_f64(snap.mean_batch_size),
-        snap.frames_accepted,
-        snap.frames_rejected_full,
-        snap.frames_rejected_shutdown,
-        snap.frames_rejected_predicted,
-        snap.frames_served,
-        snap.frames_fused,
-        snap.frames_deadline_missed,
-        snap.frame_subcarriers,
-        snap.frame_prep_factors,
-        json_f64(snap.mean_frame_size),
-        json_f64(snap.prep_amortization),
-        json_f64(snap.p99_frame_latency_us),
-        snap.queue_depth,
-        json_f64(snap.p50_latency_us),
-        json_f64(snap.p99_latency_us),
-        json_f64(snap.p99_queue_wait_us),
-        snap.stats.nodes_generated,
-        snap.stats.leaves_reached,
-        snap.host_cores,
-        snap.n_shards,
-        snap.core_budget,
-        snap.budget_replans,
-    );
+    let mut o = String::with_capacity(2048);
+    o.push('{');
+    json_set(&mut o, MetricsSnapshot::ROWS, snap);
+    o.push_str(",\"shards\":[");
     for (i, s) in snap.shards.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(
-            o,
-            "{{\"routed\":{},\"served\":{},\"affinity_served\":{},\"stolen_in\":{},\
-             \"stolen_out\":{},\"prep_hits\":{},\"prep_misses\":{},\"prep_bypass\":{},\
-             \"queue_depth\":{}}}",
-            s.routed,
-            s.served,
-            s.affinity_served,
-            s.stolen_in,
-            s.stolen_out,
-            s.prep_hits,
-            s.prep_misses,
-            s.prep_bypass,
-            s.queue_depth,
-        );
+        o.push_str(if i > 0 { ",{" } else { "{" });
+        json_set(&mut o, ShardSnapshot::ROWS, s);
+        o.push('}');
     }
     o.push_str("],\"tiers\":[");
     for (i, t) in snap.tiers.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(
-            o,
-            "{{\"label\":\"{}\",\"served\":{},\"p50_predict_err_us\":{},\
-             \"p99_predict_err_us\":{}}}",
-            escape(&t.label),
-            t.served,
-            json_f64(t.p50_predict_err_us),
-            json_f64(t.p99_predict_err_us),
-        );
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(o, "{sep}{{\"label\":\"{}\",", escape(&t.label));
+        json_set(&mut o, TierSnapshot::ROWS, t);
+        o.push('}');
     }
     o.push_str("]}");
     o
@@ -680,12 +376,9 @@ mod tests {
         m.prep_cache_hits.store(5, Ordering::Relaxed);
         m.prep_cache_misses.store(3, Ordering::Relaxed);
         m.prep_cache_bypass.store(1, Ordering::Relaxed);
-        m.frames_accepted.store(2, Ordering::Relaxed);
+        m.prep_factors.store(3, Ordering::Relaxed);
         m.frames_served.store(2, Ordering::Relaxed);
         m.frames_fused.store(1, Ordering::Relaxed);
-        m.frame_subcarriers.store(32, Ordering::Relaxed);
-        m.frame_prep_factors.store(2, Ordering::Relaxed);
-        m.frame_latency_ns.record(500_000);
         m.tiers[0].served.fetch_add(7, Ordering::Relaxed);
         m.tiers[0].predict_err_ns.record(40_000);
         m.tiers[1].served.fetch_add(2, Ordering::Relaxed);
@@ -705,14 +398,13 @@ mod tests {
             "sd_serve_prep_cache_hits_total 5",
             "sd_serve_prep_cache_misses_total 3",
             "sd_serve_prep_cache_bypass_total 1",
-            "sd_serve_frames_accepted_total 2",
             "sd_serve_frames_served_total 2",
             "sd_serve_frames_fused_total 1",
-            "sd_serve_frame_subcarriers_total 32",
-            "sd_serve_frame_prep_factors_total 2",
-            "sd_serve_prep_amortization 16",
-            "sd_serve_mean_frame_size 16",
-            "sd_serve_frame_latency_us{quantile=\"0.99\"}",
+            "sd_serve_prep_factors_total 3",
+            "sd_serve_prep_amortization 3",
+            "sd_serve_mean_batch_size 3",
+            "sd_serve_nodes_generated_total 0",
+            "sd_serve_latency_us{quantile=\"0.5\"} 262.143",
             "sd_serve_tier_served_total{tier=\"exact\"} 7",
             "sd_serve_tier_served_total{tier=\"mmse\"} 2",
             "sd_serve_tier_predict_err_us{tier=\"exact\",quantile=\"0.5\"}",
@@ -751,9 +443,10 @@ mod tests {
         assert!(line.contains("\"prep_cache_bypass\":1"));
         assert!(line.contains("\"frames_served\":2"));
         assert!(line.contains("\"frames_fused\":1"));
-        assert!(line.contains("\"frame_subcarriers\":32"));
-        assert!(line.contains("\"prep_amortization\":16"));
-        assert!(line.contains("p99_frame_latency_us"));
+        assert!(line.contains("\"prep_factors\":3"));
+        assert!(line.contains("\"prep_amortization\":3"));
+        assert!(line.contains("\"p50_latency_us\":262.143"));
+        assert!(line.contains("\"rejected_predicted_late\":0"));
         assert!(line.contains("\"label\":\"exact\",\"served\":7"));
         assert!(line.contains("p99_predict_err_us"));
         assert!(line.contains("\"host_cores\":4"));
@@ -790,11 +483,49 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_rates_degrade_to_zero() {
-        let mut snap = sample_snapshot();
-        snap.deadline_miss_rate = f64::NAN;
-        snap.mean_batch_size = f64::INFINITY;
-        validate_json(&json_line(&snap)).expect("NaN/inf must not leak into JSON");
+    fn non_finite_values_render_as_zero() {
+        assert_eq!(Value::Float(f64::NAN).to_string(), "0");
+        assert_eq!(Value::Float(f64::INFINITY).to_string(), "0");
+        assert_eq!(Value::Float(2.5).to_string(), "2.5");
+        assert_eq!(Value::Int(7).to_string(), "7");
+    }
+
+    /// Every declared row appears in both formats under its one name.
+    #[test]
+    fn every_declared_row_is_in_both_exports() {
+        let snap = sample_snapshot();
+        let text = prometheus_text(&snap);
+        let line = json_line(&snap);
+        for (prefix, rows) in [
+            (
+                "sd_serve_",
+                MetricsSnapshot::ROWS
+                    .iter()
+                    .map(|r| (r.key, r.family, r.kind))
+                    .collect::<Vec<_>>(),
+            ),
+            (
+                "sd_serve_shard_",
+                ShardSnapshot::ROWS
+                    .iter()
+                    .map(|r| (r.key, r.family, r.kind))
+                    .collect(),
+            ),
+            (
+                "sd_serve_tier_",
+                TierSnapshot::ROWS
+                    .iter()
+                    .map(|r| (r.key, r.family, r.kind))
+                    .collect(),
+            ),
+        ] {
+            for (key, family, kind) in rows {
+                let suffix = if kind == Kind::Counter { "_total" } else { "" };
+                let name = format!("{prefix}{family}{suffix}");
+                assert!(text.contains(&format!("# TYPE {name} ")), "{name} missing");
+                assert!(line.contains(&format!("\"{key}\":")), "{key} missing");
+            }
+        }
     }
 
     #[test]

@@ -74,78 +74,21 @@ pub struct TierDecision {
     pub budget: DecodeBudget,
 }
 
-/// Pick the first tier (index into `tiers`) whose predicted cost fits the
-/// remaining budget; the last tier is the unconditional floor and its
-/// prediction is never consulted.
+/// The admission decision for one queue item of `block` receive vectors
+/// (1 for a single vector): the first tier (most → least accurate) whose
+/// predicted cost — the per-vector prediction at this channel
+/// conditioning (`condition_log2`, when known) scaled by the block size —
+/// fits the remaining budget, plus, in anytime mode, an explicit
+/// per-vector [`DecodeBudget`] derived up front from the same model, so
+/// the decode *cannot* overrun the deadline even when the prediction was
+/// wrong. A 64-subcarrier frame thus degrades when 64× the per-vector
+/// cost would blow its deadline, not when one vector would. The last tier
+/// is the unconditional floor and its prediction is never consulted.
 ///
 /// An exhausted budget (`remaining == 0`) goes straight to the floor: the
 /// deadline is already lost, so the cheapest answer minimizes the damage
 /// to everything still queued behind. A cold model predicts zero cost and
 /// therefore chooses tier 0 — optimistic until evidence accumulates.
-pub fn choose_tier(
-    cfg: &LadderConfig,
-    model: &CostModel,
-    tiers: &[Tier],
-    snr_db: f64,
-    m: usize,
-    p: usize,
-    remaining: Duration,
-) -> usize {
-    choose_tier_block(cfg, model, tiers, snr_db, m, p, remaining, 1)
-}
-
-/// Frame-aware variant of [`choose_tier`]: one ladder decision for a
-/// whole coherence block of `block` receive vectors. The per-vector
-/// prediction is scaled by the block size before being compared against
-/// the frame's remaining budget, so a 64-subcarrier frame degrades when
-/// 64× the per-vector cost would blow its deadline — not when one vector
-/// would.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_tier_block(
-    cfg: &LadderConfig,
-    model: &CostModel,
-    tiers: &[Tier],
-    snr_db: f64,
-    m: usize,
-    p: usize,
-    remaining: Duration,
-    block: usize,
-) -> usize {
-    choose_tier_block_budgeted(cfg, model, tiers, snr_db, None, m, p, remaining, block).tier
-}
-
-/// [`choose_tier`] returning the full [`TierDecision`] (tier + decode
-/// budget), with the channel-conditioning observable threaded into the
-/// cost prediction.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_tier_budgeted(
-    cfg: &LadderConfig,
-    model: &CostModel,
-    tiers: &[Tier],
-    snr_db: f64,
-    condition_log2: Option<f64>,
-    m: usize,
-    p: usize,
-    remaining: Duration,
-) -> TierDecision {
-    choose_tier_block_budgeted(
-        cfg,
-        model,
-        tiers,
-        snr_db,
-        condition_log2,
-        m,
-        p,
-        remaining,
-        1,
-    )
-}
-
-/// The full admission decision: the first tier (most → least accurate)
-/// whose predicted cost fits the remaining budget, plus — in anytime mode
-/// — an explicit per-vector [`DecodeBudget`] derived up front from the
-/// same model, so the decode *cannot* overrun the deadline even when the
-/// prediction was wrong.
 ///
 /// The budget's node cap is the remaining time (split across the `block`
 /// vectors) divided by the model's ns-per-node rate, floored at
@@ -156,7 +99,7 @@ pub fn choose_tier_budgeted(
 /// superset of tiers at every rung, so the chosen index never increases
 /// (never *less* accurate) as the budget grows.
 #[allow(clippy::too_many_arguments)]
-pub fn choose_tier_block_budgeted(
+pub fn choose_tier(
     cfg: &LadderConfig,
     model: &CostModel,
     tiers: &[Tier],
@@ -185,7 +128,7 @@ pub fn choose_tier_block_budgeted(
             .iter()
             .enumerate()
             .position(|(i, tier)| {
-                model.predict_ns_with(i, &tier.cost, snr_db, condition_log2, m, p) * block as f64
+                model.predict_ns(i, &tier.cost, snr_db, condition_log2, m, p) * block as f64
                     <= budget_ns
             })
             .unwrap_or(last)
@@ -200,8 +143,7 @@ pub fn choose_tier_block_budgeted(
 
 /// Derive the anytime per-vector [`DecodeBudget`] from the model's node
 /// rate and the time left, spending only [`ANYTIME_MARGIN`] of it so a
-/// truncated decode returns *inside* the deadline (not at it). Shared by
-/// the block and single-vector paths.
+/// truncated decode returns *inside* the deadline (not at it).
 fn anytime_budget(model: &CostModel, remaining: Duration, block: usize) -> DecodeBudget {
     let spendable = remaining.mul_f64(ANYTIME_MARGIN);
     let deadline = Instant::now() + spendable;
@@ -238,10 +180,22 @@ mod tests {
             0,
             &crate::budget::TierCostClass::Adaptive,
             8.0,
+            None,
             10_000,
             1_000_000,
         );
         m
+    }
+
+    /// The decision for a `block`-vector item of 8 antennas, QAM4, 8 dB.
+    fn pick(
+        cfg: &LadderConfig,
+        model: &CostModel,
+        tiers: &[Tier],
+        remaining: Duration,
+        block: usize,
+    ) -> TierDecision {
+        choose_tier(cfg, model, tiers, 8.0, None, 8, 4, remaining, block)
     }
 
     #[test]
@@ -251,32 +205,22 @@ mod tests {
             ..LadderConfig::default()
         };
         let model = trained_model();
-        let t = choose_tier(&cfg, &model, &registry(), 8.0, 8, 4, Duration::ZERO);
-        assert_eq!(t, 0);
+        assert_eq!(pick(&cfg, &model, &registry(), Duration::ZERO, 1).tier, 0);
     }
 
     #[test]
     fn zero_budget_goes_to_floor() {
         let cfg = LadderConfig::default();
         let model = CostModel::new(3); // even a cold model
-        let t = choose_tier(&cfg, &model, &registry(), 8.0, 8, 4, Duration::ZERO);
-        assert_eq!(t, 2);
+        assert_eq!(pick(&cfg, &model, &registry(), Duration::ZERO, 1).tier, 2);
     }
 
     #[test]
     fn cold_model_is_optimistic() {
         let cfg = LadderConfig::default();
         let model = CostModel::new(3);
-        let t = choose_tier(
-            &cfg,
-            &model,
-            &registry(),
-            8.0,
-            8,
-            4,
-            Duration::from_nanos(1),
-        );
-        assert_eq!(t, 0);
+        let d = pick(&cfg, &model, &registry(), Duration::from_nanos(1), 1);
+        assert_eq!(d.tier, 0);
     }
 
     #[test]
@@ -284,22 +228,14 @@ mod tests {
         let cfg = LadderConfig::default();
         let model = trained_model();
         let tiers = registry();
+        let tier = |remaining| pick(&cfg, &model, &tiers, remaining, 1).tier;
         // Plenty of budget: exact (predicted 1 ms).
-        assert_eq!(
-            choose_tier(&cfg, &model, &tiers, 8.0, 8, 4, Duration::from_millis(10)),
-            0
-        );
+        assert_eq!(tier(Duration::from_millis(10)), 0);
         // K-best at 8 antennas, order 4, K=16: analytic nodes × 100 ns
         // ≈ 44 µs ≪ 500 µs < 1 ms → middle rung.
-        assert_eq!(
-            choose_tier(&cfg, &model, &tiers, 8.0, 8, 4, Duration::from_micros(500)),
-            1
-        );
+        assert_eq!(tier(Duration::from_micros(500)), 1);
         // Too tight even for K-best → the MMSE floor.
-        assert_eq!(
-            choose_tier(&cfg, &model, &tiers, 8.0, 8, 4, Duration::from_micros(10)),
-            2
-        );
+        assert_eq!(tier(Duration::from_micros(10)), 2);
     }
 
     #[test]
@@ -311,29 +247,12 @@ mod tests {
         let cfg = LadderConfig::default();
         let model = trained_model();
         let tiers = registry();
+        let tier = |remaining, block| pick(&cfg, &model, &tiers, remaining, block).tier;
         let budget = Duration::from_micros(500);
-        assert_eq!(
-            choose_tier_block(&cfg, &model, &tiers, 8.0, 8, 4, budget, 1),
-            1
-        );
-        assert_eq!(
-            choose_tier_block(&cfg, &model, &tiers, 8.0, 8, 4, budget, 16),
-            2
-        );
+        assert_eq!(tier(budget, 1), 1);
+        assert_eq!(tier(budget, 16), 2);
         // A big-enough budget restores the exact rung even at block 16.
-        assert_eq!(
-            choose_tier_block(
-                &cfg,
-                &model,
-                &tiers,
-                8.0,
-                8,
-                4,
-                Duration::from_millis(100),
-                16
-            ),
-            0
-        );
+        assert_eq!(tier(Duration::from_millis(100), 16), 0);
     }
 
     #[test]
@@ -342,15 +261,12 @@ mod tests {
         let model = CostModel::new(1);
         let mut tiers = registry();
         tiers.truncate(1);
-        assert_eq!(
-            choose_tier(&cfg, &model, &tiers, 8.0, 8, 4, Duration::ZERO),
-            0
-        );
+        assert_eq!(pick(&cfg, &model, &tiers, Duration::ZERO, 1).tier, 0);
     }
 
     /// Regression: `tiers.len() - 1` ran *before* the enabled/empty
     /// guards, so an empty registry underflowed (debug panic) even on
-    /// paths that never index. Both variants must return tier 0 instead.
+    /// paths that never index. Both must return tier 0 instead.
     #[test]
     fn empty_registry_does_not_underflow() {
         let model = CostModel::new(0);
@@ -359,24 +275,10 @@ mod tests {
             enabled: false,
             ..LadderConfig::default()
         };
-        assert_eq!(
-            choose_tier(&disabled, &model, &none, 8.0, 8, 4, Duration::ZERO),
-            0
-        );
+        assert_eq!(pick(&disabled, &model, &none, Duration::ZERO, 1).tier, 0);
         let enabled = LadderConfig::default();
-        assert_eq!(
-            choose_tier_block(
-                &enabled,
-                &model,
-                &none,
-                8.0,
-                8,
-                4,
-                Duration::from_millis(1),
-                4
-            ),
-            0
-        );
+        let d = pick(&enabled, &model, &none, Duration::from_millis(1), 4);
+        assert_eq!(d.tier, 0);
     }
 
     /// The reactive ladder (anytime off) always hands out an unlimited
@@ -385,16 +287,7 @@ mod tests {
     fn reactive_ladder_budget_is_unlimited() {
         let cfg = LadderConfig::default();
         let model = trained_model();
-        let d = choose_tier_budgeted(
-            &cfg,
-            &model,
-            &registry(),
-            8.0,
-            None,
-            8,
-            4,
-            Duration::from_millis(10),
-        );
+        let d = pick(&cfg, &model, &registry(), Duration::from_millis(10), 1);
         assert_eq!(d.tier, 0);
         assert!(d.budget.is_unlimited());
     }
@@ -412,55 +305,18 @@ mod tests {
         let tiers = registry();
         // 10 ms at 100 ns/node, spending the 0.85 margin → 85_000 nodes
         // per vector.
-        let d = choose_tier_budgeted(
-            &cfg,
-            &model,
-            &tiers,
-            8.0,
-            None,
-            8,
-            4,
-            Duration::from_millis(10),
-        );
+        let d = pick(&cfg, &model, &tiers, Duration::from_millis(10), 1);
         assert_eq!(d.budget.max_nodes, 85_000);
         assert!(d.budget.deadline.is_some());
         // A 10-vector block splits the same time budget ten ways.
-        let d10 = choose_tier_block_budgeted(
-            &cfg,
-            &model,
-            &tiers,
-            8.0,
-            None,
-            8,
-            4,
-            Duration::from_millis(10),
-            10,
-        );
+        let d10 = pick(&cfg, &model, &tiers, Duration::from_millis(10), 10);
         assert_eq!(d10.budget.max_nodes, 8_500);
         // A microscopic budget still leaves the greedy floor.
-        let tight = choose_tier_budgeted(
-            &cfg,
-            &model,
-            &tiers,
-            8.0,
-            None,
-            8,
-            4,
-            Duration::from_nanos(1),
-        );
+        let tight = pick(&cfg, &model, &tiers, Duration::from_nanos(1), 1);
         assert_eq!(tight.budget.max_nodes, MIN_ANYTIME_NODES);
         // Cold model: no node rate, so no node cap (deadline still set).
         let cold = CostModel::new(3);
-        let dc = choose_tier_budgeted(
-            &cfg,
-            &cold,
-            &tiers,
-            8.0,
-            None,
-            8,
-            4,
-            Duration::from_millis(1),
-        );
+        let dc = pick(&cfg, &cold, &tiers, Duration::from_millis(1), 1);
         assert_eq!(dc.budget.max_nodes, u64::MAX);
         assert!(dc.budget.deadline.is_some());
     }
@@ -474,7 +330,7 @@ mod tests {
         let tiers = registry();
         let mut prev = usize::MAX;
         for us in [0u64, 1, 10, 50, 100, 500, 1_000, 5_000, 10_000] {
-            let t = choose_tier(&cfg, &model, &tiers, 8.0, 8, 4, Duration::from_micros(us));
+            let t = pick(&cfg, &model, &tiers, Duration::from_micros(us), 1).tier;
             assert!(
                 t <= prev || prev == usize::MAX,
                 "budget {us} µs picked tier {t} after {prev}"

@@ -57,14 +57,17 @@
 //!   and watermark hysteresis so the plan never flaps.
 //! * **Frame-scale serving** — a whole coherence block submitted as one
 //!   [`FrameRequest`] travels intact to one worker, gets one ladder
-//!   decision (cost scaled by block size), one shared channel
-//!   factorization and one batched `ȳ = QᴴY` apply
-//!   ([`sd_core::decode_block_into`]), and comes back as a
+//!   decision (cost scaled by block size), one prep-cache lookup or
+//!   channel factorization and one batched `ȳ = QᴴY` apply
+//!   ([`sd_core::prepare_block_with_channel_into`]), and comes back as a
 //!   [`FrameResponse`] with per-subcarrier detections — bit-identical to
 //!   per-vector submission, at a fraction of the per-request overhead.
-//! * **Observability** — lock-light [metrics] (latency/wait
-//!   histograms, batch-size distribution, tier and shed counters,
-//!   aggregated [`sd_core::DetectionStats`]).
+//!   The runtime has one request path: a [`DetectionRequest`] is served
+//!   as a block of one.
+//! * **Observability** — lock-light [metrics], each declared once
+//!   (latency/wait histograms, tier, shard and shed counters, aggregated
+//!   [`sd_core::DetectionStats`]) and rendered from that declaration in
+//!   both [export] formats.
 //! * **A load harness** — a seeded [load generator](loadgen) that paces a
 //!   reproducible request mixture at an offered rate and reduces the run
 //!   to throughput / percentile-latency / miss-rate / degradation-mix.
@@ -94,10 +97,7 @@ pub use budget::{
     fsd_nodes, kbest_nodes, CoreBudgetPolicy, CostModel, TierCostClass, WorkerBudget,
 };
 pub use export::{json_line, prometheus_text, render, validate_json, ExportFormat};
-pub use ladder::{
-    choose_tier, choose_tier_block, choose_tier_block_budgeted, choose_tier_budgeted, LadderConfig,
-    TierDecision, MIN_ANYTIME_NODES,
-};
+pub use ladder::{choose_tier, LadderConfig, TierDecision, MIN_ANYTIME_NODES};
 pub use loadgen::{
     build_coherent_requests, build_frame_requests, build_requests, explode_frames, run_frame_load,
     run_load, run_request_stream, FrameLoadConfig, FrameLoadReport, LoadConfig, LoadReport,

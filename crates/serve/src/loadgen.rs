@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sd_core::DetectionStats;
 use sd_wireless::{
-    noise_variance, Constellation, FrameData, GridConfig, Modulation, ResourceGrid,
-    REAL_TIME_BUDGET,
+    noise_variance, Channel, Constellation, FrameData, GridConfig, Modulation, ResourceGrid,
+    TxFrame, REAL_TIME_BUDGET,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -144,13 +144,14 @@ pub fn build_requests(cfg: &LoadConfig, constellation: &Constellation) -> Vec<De
 }
 
 /// Build a deterministic **channel-coherent** request stream: requests
-/// come in coherence blocks of `block` consecutive arrivals sharing one
-/// channel matrix `H` (fresh symbols and noise per request), cycling the
-/// SNR mixture per block. This is the traffic shape affinity routing and
-/// the per-shard [`crate::prep_cache`] are built for — every request in a
-/// block hashes to the same shard and, after the leader's miss, hits its
-/// cached factorization. `block = 1` degenerates to [`build_requests`]'
-/// i.i.d. shape.
+/// come in coherence blocks of `block` consecutive arrivals that share one
+/// Rayleigh channel `H`, each a fresh symbol vector sent through that
+/// channel with fresh noise (as [`ResourceGrid`] builds its blocks),
+/// cycling the SNR mixture per block. This is the traffic shape affinity
+/// routing and the per-shard [`crate::prep_cache`] are built for — every
+/// request in a block hashes to the same shard and, after the leader's
+/// miss, hits its cached factorization. `block = 1` is exactly
+/// [`build_requests`]' i.i.d. stream.
 pub fn build_coherent_requests(
     cfg: &LoadConfig,
     block: usize,
@@ -159,26 +160,26 @@ pub fn build_coherent_requests(
     assert!(!cfg.snr_grid_db.is_empty(), "SNR grid must be non-empty");
     assert!(block >= 1, "coherence block must be at least 1");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut out = Vec::with_capacity(cfg.n_requests);
-    let mut leader: Option<FrameData> = None;
-    for i in 0..cfg.n_requests {
-        let snr = cfg.snr_grid_db[(i / block) % cfg.snr_grid_db.len()];
-        let sigma2 = noise_variance(snr, cfg.n_tx);
-        let fresh = FrameData::generate(cfg.n_rx, cfg.n_tx, constellation, sigma2, &mut rng);
-        let frame = if i % block == 0 {
-            leader = Some(fresh.clone());
-            fresh
-        } else {
-            // Follower: the leader's channel, this arrival's symbols.
-            let mut f = leader.as_ref().expect("leader set at block start").clone();
-            f.y = fresh.y;
-            f.tx = fresh.tx;
-            f.noise_variance = fresh.noise_variance;
-            f
-        };
-        out.push(DetectionRequest::new(i as u64, frame, snr, cfg.deadline));
-    }
-    out
+    let mut channel = None;
+    (0..cfg.n_requests)
+        .map(|i| {
+            let snr = cfg.snr_grid_db[(i / block) % cfg.snr_grid_db.len()];
+            let sigma2 = noise_variance(snr, cfg.n_tx);
+            if i % block == 0 {
+                channel = Some(Channel::rayleigh(cfg.n_rx, cfg.n_tx, &mut rng));
+            }
+            let ch = channel.as_ref().expect("set at the block's first request");
+            let tx = TxFrame::random(cfg.n_tx, constellation, &mut rng);
+            let y = ch.transmit(&tx.symbols, sigma2, &mut rng);
+            let frame = FrameData {
+                h: ch.matrix().clone(),
+                y,
+                noise_variance: sigma2,
+                tx,
+            };
+            DetectionRequest::new(i as u64, frame, snr, cfg.deadline)
+        })
+        .collect()
 }
 
 /// Offer `cfg.n_requests` requests to `rt` at the configured rate, drain
@@ -610,9 +611,63 @@ mod tests {
         assert!(a[0].frame.h != a[4].frame.h, "fresh H per block");
         assert_eq!(a[0].snr_db, 6.0);
         assert_eq!(a[4].snr_db, 14.0, "SNR mixture cycles per block");
-        // block = 1 degenerates to the i.i.d. stream.
+        // block = 1 is exactly the i.i.d. stream.
         let iid = build_coherent_requests(&cfg, 1, &c);
-        assert!(iid[0].frame.h != iid[1].frame.h);
+        for (x, y) in iid.iter().zip(build_requests(&cfg, &c).iter()) {
+            assert!(x.frame.h == y.frame.h && x.frame.y == y.frame.y);
+        }
+    }
+
+    /// Mean of `‖y − H·x‖² / σ²` over `frames`: `n_rx` in expectation
+    /// when every `y` was sent through its own `H`.
+    fn mean_normalized_residual<'a>(frames: impl Iterator<Item = &'a FrameData>) -> f64 {
+        let (mut acc, mut n) = (0.0, 0usize);
+        for f in frames {
+            let hx = f.h.mul_vec(&f.tx.symbols);
+            let r: f64 = f.y.iter().zip(&hx).map(|(y, h)| (*y - *h).norm_sqr()).sum();
+            acc += r / f.noise_variance;
+            n += 1;
+        }
+        acc / n as f64
+    }
+
+    /// Every generator sends each `y` through the `H` it hands the
+    /// detector: the normalized residual averages `n_rx` (within 2%, the
+    /// benchmark's workload gate). A follower built from the leader's `H`
+    /// but another channel's `y` averages far above it.
+    #[test]
+    fn generators_send_y_through_their_own_channel() {
+        let cfg = LoadConfig {
+            n_requests: 8192,
+            snr_grid_db: vec![6.0, 10.0, 14.0],
+            ..Default::default()
+        };
+        let c = Constellation::new(cfg.modulation);
+        let n_rx = cfg.n_rx as f64;
+        let within = |mean: f64| (mean - n_rx).abs() <= 0.02 * n_rx;
+        let iid = mean_normalized_residual(build_requests(&cfg, &c).iter().map(|r| &r.frame));
+        assert!(within(iid), "build_requests: {iid}");
+        let coh = build_coherent_requests(&cfg, 16, &c);
+        let mean = mean_normalized_residual(coh.iter().map(|r| &r.frame));
+        assert!(within(mean), "build_coherent_requests: {mean}");
+        let fcfg = FrameLoadConfig {
+            grid: GridConfig::new(64, 32, 8, 8).with_coherence(16, 4),
+            ..Default::default()
+        };
+        let frames = build_frame_requests(&fcfg, &c);
+        let mean = mean_normalized_residual(frames.iter().flat_map(|f| &f.subcarriers));
+        assert!(within(mean), "build_frame_requests: {mean}");
+        // The gate has teeth: the leader's H with another channel's y.
+        let mismatched: Vec<FrameData> = coh
+            .windows(2)
+            .filter(|w| w[0].frame.h != w[1].frame.h)
+            .map(|w| FrameData {
+                h: w[0].frame.h.clone(),
+                ..w[1].frame.clone()
+            })
+            .collect();
+        let bad = mean_normalized_residual(mismatched.iter());
+        assert!(!within(bad), "mismatched traffic must fail: {bad}");
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Lock-light runtime metrics: atomic counters, log2 latency histograms,
-//! per-tier serve counters with cost-model validation, and one aggregated
-//! [`DetectionStats`] merged per batch.
+//! Lock-light runtime metrics, each declared once.
 //!
-//! Everything on the per-request path is a relaxed atomic increment; the
-//! only lock is the per-*batch* [`DetectionStats`] merge, amortized by the
-//! batcher. Tier-indexed metrics are sized from the runtime's tier
-//! registry at construction, so custom registries get first-class
-//! accounting with no code changes. [`Metrics::snapshot`] materializes a
-//! plain-data [`MetricsSnapshot`] for reports and the load harness.
+//! Every metric is one entry of a `metric_set!` declaration: its field,
+//! its kind, its help text (the entry's doc line) and, through the set it
+//! belongs to, its label. The declaration generates the storage the hot
+//! path writes (an `AtomicU64` per counter, a [`Log2Histogram`] per
+//! summary — one relaxed atomic op at a fixed address per record), the
+//! plain-data snapshot the load harness reads, and the rows both export
+//! renderers ([`crate::export`]) walk, so adding a counter touches one
+//! place. Three sets exist: the runtime-wide [`Metrics`], one
+//! [`ShardMetrics`] per shard (label `shard`) and one [`TierMetrics`] per
+//! registry tier (label `tier`). Counts are per receive vector: a frame
+//! of `B` subcarriers counts `B` wherever a vector counts one. The only
+//! lock is the per-*batch* [`DetectionStats`] merge, amortized by the
+//! batcher.
 
 use sd_core::DetectionStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,132 +84,314 @@ impl Default for Log2Histogram {
     }
 }
 
-/// Per-tier hot-path counters, one slot per registry tier.
-pub struct TierMetrics {
-    /// The tier's registry label.
-    pub label: Arc<str>,
-    /// Responses served at this tier.
-    pub served: AtomicU64,
-    /// Cost-model validation: distribution of `|predicted − actual|`
-    /// decode nanoseconds for requests served at this tier.
-    pub predict_err_ns: Log2Histogram,
+/// How an export row is exposed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A monotone count; Prometheus appends `_total` to its name.
+    Counter,
+    /// A point-in-time value.
+    Gauge,
+    /// One quantile of a summary; the label value is the quantile.
+    Quantile(&'static str),
 }
 
-/// Per-shard hot-path counters, one slot per runtime shard. Summed over
-/// shards these close the global invariants (`Σ routed == accepted`,
-/// `Σ served == served`, per-shard `hits + misses + bypass == served`);
-/// individually they show where affinity routing sent the traffic and how
-/// much of it was stolen away.
-pub struct ShardMetrics {
-    /// Items admission routed to this shard (subcarriers for frames).
-    pub routed: AtomicU64,
-    /// Items served by this shard's workers (from its own queue or loot).
-    pub served: AtomicU64,
-    /// Items served from the shard's *own* queue — the affinity-routed
-    /// path. `served − affinity_served` arrived by stealing.
-    pub affinity_served: AtomicU64,
-    /// Items this shard's workers stole from other shards.
-    pub stolen_in: AtomicU64,
-    /// Items other shards' workers stole from this queue.
-    pub stolen_out: AtomicU64,
-    /// This shard's prep-cache hits (see the global counters).
-    pub prep_hits: AtomicU64,
-    /// This shard's prep-cache misses.
-    pub prep_misses: AtomicU64,
-    /// This shard's cache bypasses (disabled, non-cacheable tier, frames).
-    pub prep_bypass: AtomicU64,
+/// A value read off a snapshot for export.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Value {
+    Int(u64),
+    Float(f64),
 }
 
-/// Shared runtime counters. All fields are written on the hot path with
-/// relaxed atomics except `stats`, merged once per batch.
-pub struct Metrics {
-    /// Logical cores the host reported at startup (the default worker and
-    /// core-budget allowance derive from it).
-    pub host_cores: usize,
-    /// Current subtree-decoder lane allowance planned by the adaptive
-    /// core-budget controller (0 until a controller is attached).
-    pub core_budget: AtomicU64,
-    /// Times the controller changed the plan.
-    pub budget_replans: AtomicU64,
-    /// Per-shard counters, indexed by shard.
-    pub shards: Vec<ShardMetrics>,
-    /// Requests admitted into the ingress queue.
-    pub accepted: AtomicU64,
-    /// Requests refused because the queue was full.
-    pub rejected_full: AtomicU64,
-    /// Requests refused because the runtime was shutting down.
-    pub rejected_shutdown: AtomicU64,
-    /// Requests refused by predictive admission control: the target
-    /// shard's predicted queue wait already exceeded the whole deadline
-    /// (see [`crate::RejectReason::PredictedLate`]). Always 0 with the
-    /// gate off.
-    pub rejected_predicted: AtomicU64,
-    /// Responses produced.
-    pub served: AtomicU64,
-    /// Per-tier serve counters and cost-model error, indexed by tier.
-    pub tiers: Vec<TierMetrics>,
-    /// Responses whose end-to-end latency exceeded their deadline.
-    pub deadline_missed: AtomicU64,
-    /// Responses whose search ran to completion ([`sd_core::SearchQuality::Exact`]).
-    /// `quality_exact + budget_exhausted == served` once the runtime is
-    /// quiescent — every response is one or the other.
-    pub quality_exact: AtomicU64,
-    /// Responses truncated by their decode budget
-    /// ([`sd_core::SearchQuality::BudgetTruncated`]): the anytime engine
-    /// returned its best-so-far answer at the node cap or deadline.
-    pub budget_exhausted: AtomicU64,
-    /// Requests whose preparation reused a cached channel factorization.
-    pub prep_cache_hits: AtomicU64,
-    /// Requests whose preparation factored (and cached) their channel.
-    pub prep_cache_misses: AtomicU64,
-    /// Requests prepared outside the cache (cache disabled, or the tier's
-    /// preprocessing is not channel-cacheable). Every served request is
-    /// exactly one of hit / miss / bypass.
-    pub prep_cache_bypass: AtomicU64,
-    /// Batches drained from the ingress queue.
-    pub batches: AtomicU64,
-    /// Total requests across all batches (mean batch = items / batches).
-    pub batch_items: AtomicU64,
-    /// Frame requests admitted (their subcarriers also count in
-    /// `accepted`, so vector-level accounting stays closed over mixed
-    /// traffic).
-    pub frames_accepted: AtomicU64,
-    /// Frame requests shed at admission (queue full).
-    pub frames_rejected_full: AtomicU64,
-    /// Frame requests refused during shutdown.
-    pub frames_rejected_shutdown: AtomicU64,
-    /// Frame requests refused by predictive admission control (their
-    /// subcarriers also count in `rejected_predicted`).
-    pub frames_rejected_predicted: AtomicU64,
-    /// Frame responses produced (their subcarriers also count in
-    /// `served`).
-    pub frames_served: AtomicU64,
-    /// Frames decoded by the cross-subcarrier **fused** block path (one
-    /// GEMM batch per tree level for the whole block); the remainder
-    /// (`frames_served − frames_fused`) ran the per-subcarrier loop.
-    pub frames_fused: AtomicU64,
-    /// Frames whose end-to-end latency exceeded their deadline (their
-    /// subcarriers also count in `deadline_missed`).
-    pub frames_deadline_missed: AtomicU64,
-    /// Subcarriers decoded through the frame path.
-    pub frame_subcarriers: AtomicU64,
-    /// Channel preparations the frame path performed — 1 per frame on the
-    /// shared-prep path, `block_len` on the per-vector fallback. The
-    /// prep-amortization ratio is `frame_subcarriers / frame_prep_factors`
-    /// (block size when every frame shares its prep).
-    pub frame_prep_factors: AtomicU64,
-    /// Subcarriers-per-frame distribution.
-    pub frame_size: Log2Histogram,
-    /// Frame end-to-end latency distribution (nanoseconds).
-    pub frame_latency_ns: Log2Histogram,
-    /// End-to-end latency distribution (nanoseconds).
-    pub latency_ns: Log2Histogram,
-    /// Queue-wait distribution (nanoseconds).
-    pub queue_wait_ns: Log2Histogram,
-    /// Batch-size distribution.
-    pub batch_size: Log2Histogram,
-    /// Aggregated decoder instrumentation, merged per batch.
-    stats: Mutex<DetectionStats>,
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::Int(v)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::Int(v as u64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Float(v)
+    }
+}
+
+/// One exported series of a metric set, as its declaration states it.
+pub(crate) struct Row<S> {
+    /// The JSON key, and the Prometheus name (after the set's prefix) of
+    /// a counter or gauge.
+    pub(crate) key: &'static str,
+    /// The Prometheus family name: a summary's quantile rows share one.
+    pub(crate) family: &'static str,
+    pub(crate) kind: Kind,
+    pub(crate) help: &'static str,
+    pub(crate) read: fn(&S) -> Value,
+}
+
+/// `num / den`, 0 for an empty denominator.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// A stored entry's export key: its field name, or the name after `as`.
+macro_rules! key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $name:literal) => {
+        $name
+    };
+}
+
+/// Declare a metric set: an atomic struct the hot path writes, its
+/// snapshot struct, and the set's export rows, all from one entry per
+/// metric. Entries come in three groups: `stored` values live in an
+/// `AtomicU64` (`Counter`s are added to, `Gauge`s stored); `summaries`
+/// live in a [`Log2Histogram`] and snapshot as the listed quantiles (µs);
+/// `derived` values are computed at snapshot time from the loaded ones,
+/// the snapshot's other fields and the `inputs`. Each entry's single doc
+/// line is both its field documentation and its export help text.
+/// Counters load in declaration order, so a counter that must never read
+/// above another is declared (and loaded) first.
+macro_rules! metric_set {
+    (
+        $(#[$am:meta])*
+        pub struct $A:ident { $( $(#[$xam:meta])* $xav:vis $xa:ident : $xaty:ty, )* }
+        $(#[$sm:meta])*
+        pub struct $S:ident { $( $(#[$xsm:meta])* $xs:ident : $xsty:ty, )* }
+        inputs($( $in:ident : $inty:ty ),*);
+        stored { $( #[doc = $ch:literal] $ck:ident $c:ident $(as $cn:literal)?, )* }
+        summaries {
+            $( #[doc = $hh:literal] $h:ident as $hn:literal [ $( $q:ident @ $ql:literal ),+ ], )*
+        }
+        derived { $( #[doc = $gh:literal] $gk:ident $g:ident : $gty:ty = $ge:expr, )* }
+    ) => {
+        $(#[$am])*
+        pub struct $A {
+            $( $(#[$xam])* $xav $xa: $xaty, )*
+            $( #[doc = $ch] pub $c: AtomicU64, )*
+            $( #[doc = $hh] pub $h: Log2Histogram, )*
+        }
+
+        $(#[$sm])*
+        #[derive(Clone, Debug)]
+        pub struct $S {
+            $( $(#[$xsm])* pub $xs: $xsty, )*
+            $( #[doc = $ch] pub $c: u64, )*
+            $( $( #[doc = $hh] pub $q: f64, )+ )*
+            $( #[doc = $gh] pub $g: $gty, )*
+        }
+
+        impl $A {
+            /// Zeroed counters and histograms around the set's other fields.
+            fn zeroed($( $xa: $xaty ),*) -> Self {
+                $A {
+                    $( $xa, )*
+                    $( $c: AtomicU64::new(0), )*
+                    $( $h: Log2Histogram::new(), )*
+                }
+            }
+
+            /// Load the counters in declaration order, read the summary
+            /// quantiles, then evaluate the derived values.
+            fn load(&self, $( $xs: $xsty, )* $( $in: $inty ),*) -> $S {
+                $( let $c = self.$c.load(Ordering::Relaxed); )*
+                $(
+                    let counts = self.$h.counts();
+                    $( let $q = Log2Histogram::quantile(&counts, $ql) as f64 / 1e3; )+
+                )*
+                $( let $g: $gty = $ge; )*
+                $S { $( $xs, )* $( $c, )* $( $( $q, )+ )* $( $g, )* }
+            }
+        }
+
+        impl $S {
+            /// The set's export rows, in declaration order.
+            pub(crate) const ROWS: &'static [Row<$S>] = &[
+                $(
+                    Row {
+                        key: key!($c $($cn)?),
+                        family: key!($c $($cn)?),
+                        kind: Kind::$ck,
+                        help: $ch,
+                        read: |s| Value::from(s.$c),
+                    },
+                )*
+                $( $(
+                    Row {
+                        key: stringify!($q),
+                        family: $hn,
+                        kind: Kind::Quantile(stringify!($ql)),
+                        help: $hh,
+                        read: |s| Value::from(s.$q),
+                    },
+                )+ )*
+                $(
+                    Row {
+                        key: stringify!($g),
+                        family: stringify!($g),
+                        kind: Kind::$gk,
+                        help: $gh,
+                        read: |s| Value::from(s.$g),
+                    },
+                )*
+            ];
+        }
+    };
+}
+
+metric_set! {
+    /// Per-tier hot-path counters, one set per registry tier.
+    pub struct TierMetrics {
+        /// The tier's registry label.
+        pub label: Arc<str>,
+    }
+    /// One tier's plain-data view at snapshot time.
+    pub struct TierSnapshot {
+        /// The tier's registry label.
+        label: Arc<str>,
+    }
+    inputs();
+    stored {
+        /// Responses served per ladder tier.
+        Counter served,
+    }
+    summaries {
+        /// Cost-model |predicted-actual| decode time per tier (µs, bucket upper bound).
+        predict_err_ns as "predict_err_us" [p50_predict_err_us @ 0.5, p99_predict_err_us @ 0.99],
+    }
+    derived {}
+}
+
+metric_set! {
+    /// Per-shard hot-path counters, one set per runtime shard. Summed over
+    /// shards these close the global invariants (`Σ routed == accepted`,
+    /// `Σ served == served`, per-shard `hits + misses + bypass == served`);
+    /// individually they show where affinity routing sent the traffic and
+    /// how much of it was stolen away.
+    pub struct ShardMetrics {}
+    /// One shard's plain-data view at snapshot time (see [`ShardMetrics`]).
+    pub struct ShardSnapshot {}
+    inputs(depth: usize);
+    stored {
+        /// Items admission routed to this shard.
+        Counter routed,
+        /// Items served by this shard's workers.
+        Counter served,
+        /// Items served from this shard's own affinity-routed queue.
+        Counter affinity_served,
+        /// Items this shard's workers stole from other shards.
+        Counter stolen_in,
+        /// Items other shards stole from this queue.
+        Counter stolen_out,
+        /// Prep-cache hits on this shard.
+        Counter prep_hits,
+        /// Prep-cache misses on this shard.
+        Counter prep_misses,
+        /// Prep-cache bypasses on this shard.
+        Counter prep_bypass,
+    }
+    summaries {}
+    derived {
+        /// This shard queue's backlog at snapshot time.
+        Gauge queue_depth: usize = depth,
+    }
+}
+
+metric_set! {
+    /// Shared runtime counters, written on the hot path with relaxed
+    /// atomics; only `stats` is merged once per batch.
+    pub struct Metrics {
+        /// Logical cores the host reported at startup (the default worker
+        /// and core-budget allowance derive from it).
+        pub host_cores: usize,
+        /// Per-shard counters, indexed by shard.
+        pub shards: Vec<ShardMetrics>,
+        /// Per-tier serve counters and cost-model error, indexed by tier.
+        pub tiers: Vec<TierMetrics>,
+        /// Aggregated decoder instrumentation, merged per batch.
+        stats: Mutex<DetectionStats>,
+    }
+    /// Plain-data view of [`Metrics`] at one instant.
+    pub struct MetricsSnapshot {
+        /// Per-shard counters, indexed by shard.
+        shards: Vec<ShardSnapshot>,
+        /// Per-tier serve counts and cost-model error, indexed by tier.
+        tiers: Vec<TierSnapshot>,
+        /// Aggregated decoder instrumentation across all served requests.
+        stats: DetectionStats,
+    }
+    inputs(host: usize, depths: &[usize]);
+    stored {
+        /// Requests admitted into the ingress queue.
+        Counter accepted,
+        /// Requests shed at admission (queue full).
+        Counter rejected_full,
+        /// Requests refused during shutdown.
+        Counter rejected_shutdown,
+        /// Requests shed by predictive admission (predicted wait exceeded the deadline).
+        Counter rejected_predicted as "rejected_predicted_late",
+        /// Responses that exceeded their deadline.
+        Counter deadline_missed,
+        /// Responses produced.
+        Counter served,
+        /// Responses whose search ran to completion (exact quality).
+        Counter quality_exact,
+        /// Responses truncated by their decode budget (anytime best-so-far).
+        Counter budget_exhausted,
+        /// Requests whose preparation reused a cached channel factorization.
+        Counter prep_cache_hits,
+        /// Requests whose preparation factored and cached their channel.
+        Counter prep_cache_misses,
+        /// Requests prepared outside the channel cache.
+        Counter prep_cache_bypass,
+        /// Channel preparations performed (none on a prep-cache hit).
+        Counter prep_factors,
+        /// Batches drained from the ingress queue.
+        Counter batches,
+        /// Queue items drained across all batches.
+        Counter batch_items,
+        /// Frame responses produced.
+        Counter frames_served,
+        /// Frames decoded by the cross-subcarrier fused block path.
+        Counter frames_fused,
+        /// Core-budget plan changes by the adaptive controller.
+        Counter budget_replans,
+        /// Subtree-decoder lane allowance planned by the controller (0 without one).
+        Gauge core_budget,
+    }
+    summaries {
+        /// End-to-end latency quantiles, one sample per served item (bucket upper bound).
+        latency_ns as "latency_us" [p50_latency_us @ 0.5, p99_latency_us @ 0.99],
+        /// Queue-wait quantiles (bucket upper bound).
+        queue_wait_ns as "queue_wait_us" [p99_queue_wait_us @ 0.99],
+    }
+    derived {
+        /// deadline_missed / served.
+        Gauge deadline_miss_rate: f64 = ratio(deadline_missed, served),
+        /// Mean requests per batch.
+        Gauge mean_batch_size: f64 = ratio(batch_items, batches),
+        /// Receive vectors served per channel preparation (served / prep_factors).
+        Gauge prep_amortization: f64 = ratio(served, prep_factors),
+        /// Ingress backlog at snapshot time.
+        Gauge queue_depth: usize = depths.iter().sum(),
+        /// Logical cores the host reported at startup.
+        Gauge host_cores: usize = host,
+        /// Number of runtime shards.
+        Gauge n_shards: usize = shards.len(),
+        /// Search-tree nodes generated across all served decodes.
+        Counter nodes_generated: u64 = stats.nodes_generated,
+        /// Search-tree leaves reached across all served decodes.
+        Counter leaves_reached: u64 = stats.leaves_reached,
+    }
 }
 
 impl Metrics {
@@ -212,64 +399,20 @@ impl Metrics {
     /// slot per runtime shard. `host_cores` is recorded verbatim for the
     /// exports.
     pub fn new(tier_labels: Vec<Arc<str>>, n_shards: usize, host_cores: usize) -> Self {
-        Metrics {
+        Metrics::zeroed(
             host_cores,
-            core_budget: AtomicU64::new(0),
-            budget_replans: AtomicU64::new(0),
-            shards: (0..n_shards)
-                .map(|_| ShardMetrics {
-                    routed: AtomicU64::new(0),
-                    served: AtomicU64::new(0),
-                    affinity_served: AtomicU64::new(0),
-                    stolen_in: AtomicU64::new(0),
-                    stolen_out: AtomicU64::new(0),
-                    prep_hits: AtomicU64::new(0),
-                    prep_misses: AtomicU64::new(0),
-                    prep_bypass: AtomicU64::new(0),
-                })
-                .collect(),
-            accepted: AtomicU64::new(0),
-            rejected_full: AtomicU64::new(0),
-            rejected_shutdown: AtomicU64::new(0),
-            rejected_predicted: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            tiers: tier_labels
-                .into_iter()
-                .map(|label| TierMetrics {
-                    label,
-                    served: AtomicU64::new(0),
-                    predict_err_ns: Log2Histogram::new(),
-                })
-                .collect(),
-            deadline_missed: AtomicU64::new(0),
-            quality_exact: AtomicU64::new(0),
-            budget_exhausted: AtomicU64::new(0),
-            prep_cache_hits: AtomicU64::new(0),
-            prep_cache_misses: AtomicU64::new(0),
-            prep_cache_bypass: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_items: AtomicU64::new(0),
-            frames_accepted: AtomicU64::new(0),
-            frames_rejected_full: AtomicU64::new(0),
-            frames_rejected_shutdown: AtomicU64::new(0),
-            frames_rejected_predicted: AtomicU64::new(0),
-            frames_served: AtomicU64::new(0),
-            frames_fused: AtomicU64::new(0),
-            frames_deadline_missed: AtomicU64::new(0),
-            frame_subcarriers: AtomicU64::new(0),
-            frame_prep_factors: AtomicU64::new(0),
-            frame_size: Log2Histogram::new(),
-            frame_latency_ns: Log2Histogram::new(),
-            latency_ns: Log2Histogram::new(),
-            queue_wait_ns: Log2Histogram::new(),
-            batch_size: Log2Histogram::new(),
-            stats: Mutex::new(DetectionStats::default()),
-        }
+            (0..n_shards).map(|_| ShardMetrics::zeroed()).collect(),
+            tier_labels.into_iter().map(TierMetrics::zeroed).collect(),
+            Mutex::new(DetectionStats::default()),
+        )
     }
 
     /// Merge one batch's aggregated decoder stats.
     pub fn merge_stats(&self, batch: &DetectionStats) {
-        self.stats.lock().unwrap().merge(batch);
+        self.stats
+            .lock()
+            .expect("a worker panicked while merging stats")
+            .merge(batch);
     }
 
     /// Materialize a plain-data snapshot. `shard_depths` holds each shard
@@ -277,227 +420,24 @@ impl Metrics {
     /// the metrics do not) — the aggregate `queue_depth` is their sum, and
     /// an empty slice reads as all-empty (shutdown snapshots).
     pub fn snapshot(&self, shard_depths: &[usize]) -> MetricsSnapshot {
-        let queue_depth = shard_depths.iter().sum();
-        let lat = self.latency_ns.counts();
-        let wait = self.queue_wait_ns.counts();
-        let flat = self.frame_latency_ns.counts();
-        // Load `missed` before `served`: workers bump `served` first, so
-        // this order can only under-report the miss rate mid-update, never
-        // push it above 1. Same order for the frame-level pair.
-        let missed = self.deadline_missed.load(Ordering::Relaxed);
-        let served = self.served.load(Ordering::Relaxed);
-        let frames_missed = self.frames_deadline_missed.load(Ordering::Relaxed);
-        let frames_served = self.frames_served.load(Ordering::Relaxed);
-        // Amortization ratio = subcarriers / factors. Workers bump factors
-        // before subcarriers and this load order is the reverse, so a
-        // mid-update read can only under-report the ratio.
-        let frame_subcarriers = self.frame_subcarriers.load(Ordering::Relaxed);
-        let frame_prep_factors = self.frame_prep_factors.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
-        let items = self.batch_items.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            host_cores: self.host_cores,
-            n_shards: self.shards.len(),
-            core_budget: self.core_budget.load(Ordering::Relaxed),
-            budget_replans: self.budget_replans.load(Ordering::Relaxed),
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| ShardSnapshot {
-                    routed: s.routed.load(Ordering::Relaxed),
-                    served: s.served.load(Ordering::Relaxed),
-                    affinity_served: s.affinity_served.load(Ordering::Relaxed),
-                    stolen_in: s.stolen_in.load(Ordering::Relaxed),
-                    stolen_out: s.stolen_out.load(Ordering::Relaxed),
-                    prep_hits: s.prep_hits.load(Ordering::Relaxed),
-                    prep_misses: s.prep_misses.load(Ordering::Relaxed),
-                    prep_bypass: s.prep_bypass.load(Ordering::Relaxed),
-                    queue_depth: shard_depths.get(i).copied().unwrap_or(0),
-                })
-                .collect(),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_full: self.rejected_full.load(Ordering::Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
-            rejected_predicted: self.rejected_predicted.load(Ordering::Relaxed),
-            served,
-            tiers: self
-                .tiers
-                .iter()
-                .map(|t| {
-                    let err = t.predict_err_ns.counts();
-                    TierSnapshot {
-                        label: Arc::clone(&t.label),
-                        served: t.served.load(Ordering::Relaxed),
-                        p50_predict_err_us: Log2Histogram::quantile(&err, 0.50) as f64 / 1e3,
-                        p99_predict_err_us: Log2Histogram::quantile(&err, 0.99) as f64 / 1e3,
-                    }
-                })
-                .collect(),
-            deadline_missed: missed,
-            quality_exact: self.quality_exact.load(Ordering::Relaxed),
-            budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
-            prep_cache_hits: self.prep_cache_hits.load(Ordering::Relaxed),
-            prep_cache_misses: self.prep_cache_misses.load(Ordering::Relaxed),
-            prep_cache_bypass: self.prep_cache_bypass.load(Ordering::Relaxed),
-            deadline_miss_rate: if served == 0 {
-                0.0
-            } else {
-                missed as f64 / served as f64
-            },
-            batches,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                items as f64 / batches as f64
-            },
-            frames_accepted: self.frames_accepted.load(Ordering::Relaxed),
-            frames_rejected_full: self.frames_rejected_full.load(Ordering::Relaxed),
-            frames_rejected_shutdown: self.frames_rejected_shutdown.load(Ordering::Relaxed),
-            frames_rejected_predicted: self.frames_rejected_predicted.load(Ordering::Relaxed),
-            frames_served,
-            frames_fused: self.frames_fused.load(Ordering::Relaxed),
-            frames_deadline_missed: frames_missed,
-            frame_subcarriers,
-            frame_prep_factors,
-            mean_frame_size: if frames_served == 0 {
-                0.0
-            } else {
-                frame_subcarriers as f64 / frames_served as f64
-            },
-            prep_amortization: if frame_prep_factors == 0 {
-                0.0
-            } else {
-                frame_subcarriers as f64 / frame_prep_factors as f64
-            },
-            p99_frame_latency_us: Log2Histogram::quantile(&flat, 0.99) as f64 / 1e3,
-            queue_depth,
-            p50_latency_us: Log2Histogram::quantile(&lat, 0.50) as f64 / 1e3,
-            p99_latency_us: Log2Histogram::quantile(&lat, 0.99) as f64 / 1e3,
-            p99_queue_wait_us: Log2Histogram::quantile(&wait, 0.99) as f64 / 1e3,
-            stats: self.stats.lock().unwrap().clone(),
-        }
+        let shards = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.load(shard_depths.get(i).copied().unwrap_or(0)))
+            .collect();
+        let tiers = self
+            .tiers
+            .iter()
+            .map(|t| t.load(Arc::clone(&t.label)))
+            .collect();
+        let stats = self
+            .stats
+            .lock()
+            .expect("a worker panicked while merging stats")
+            .clone();
+        self.load(shards, tiers, stats, self.host_cores, shard_depths)
     }
-}
-
-/// One tier's plain-data view at snapshot time.
-#[derive(Clone, Debug)]
-pub struct TierSnapshot {
-    /// The tier's registry label.
-    pub label: Arc<str>,
-    /// Responses served at this tier.
-    pub served: u64,
-    /// Median `|predicted − actual|` decode time (µs, bucket upper bound)
-    /// — how well the cost model knows this tier.
-    pub p50_predict_err_us: f64,
-    /// 99th-percentile cost-model error (µs, bucket upper bound).
-    pub p99_predict_err_us: f64,
-}
-
-/// One shard's plain-data view at snapshot time (see [`ShardMetrics`]).
-#[derive(Clone, Debug)]
-pub struct ShardSnapshot {
-    /// Items admission routed here (subcarriers for frames).
-    pub routed: u64,
-    /// Items served by this shard's workers.
-    pub served: u64,
-    /// Items served from the shard's own (affinity-routed) queue.
-    pub affinity_served: u64,
-    /// Items this shard's workers stole from other shards.
-    pub stolen_in: u64,
-    /// Items other shards stole from this queue.
-    pub stolen_out: u64,
-    /// This shard's prep-cache hits.
-    pub prep_hits: u64,
-    /// This shard's prep-cache misses.
-    pub prep_misses: u64,
-    /// This shard's cache bypasses.
-    pub prep_bypass: u64,
-    /// This shard queue's depth when the snapshot was taken.
-    pub queue_depth: usize,
-}
-
-/// Plain-data view of [`Metrics`] at one instant.
-#[derive(Clone, Debug)]
-pub struct MetricsSnapshot {
-    /// Logical cores the host reported at startup.
-    pub host_cores: usize,
-    /// Number of runtime shards.
-    pub n_shards: usize,
-    /// Current subtree-decoder lane allowance (0 without a controller).
-    pub core_budget: u64,
-    /// Times the core-budget controller changed the plan.
-    pub budget_replans: u64,
-    /// Per-shard counters, indexed by shard.
-    pub shards: Vec<ShardSnapshot>,
-    /// Requests admitted.
-    pub accepted: u64,
-    /// Requests shed at admission (queue full).
-    pub rejected_full: u64,
-    /// Requests refused during shutdown.
-    pub rejected_shutdown: u64,
-    /// Requests shed by predictive admission control (predicted queue
-    /// wait exceeded the whole deadline; 0 with the gate off).
-    pub rejected_predicted: u64,
-    /// Responses produced.
-    pub served: u64,
-    /// Per-tier serve counts and cost-model error, indexed by tier.
-    pub tiers: Vec<TierSnapshot>,
-    /// Deadline misses among served responses.
-    pub deadline_missed: u64,
-    /// Responses whose search ran to completion (exact quality).
-    pub quality_exact: u64,
-    /// Responses truncated by their decode budget (anytime best-so-far).
-    pub budget_exhausted: u64,
-    /// Requests whose preparation reused a cached channel factorization.
-    pub prep_cache_hits: u64,
-    /// Requests whose preparation factored (and cached) their channel.
-    pub prep_cache_misses: u64,
-    /// Requests prepared outside the cache (disabled or non-cacheable
-    /// tier). `hits + misses + bypass` counts every prepared request.
-    pub prep_cache_bypass: u64,
-    /// `deadline_missed / served`.
-    pub deadline_miss_rate: f64,
-    /// Batches drained.
-    pub batches: u64,
-    /// Mean requests per batch.
-    pub mean_batch_size: f64,
-    /// Frame requests admitted (subcarriers also count in `accepted`).
-    pub frames_accepted: u64,
-    /// Frame requests shed at admission.
-    pub frames_rejected_full: u64,
-    /// Frame requests refused during shutdown.
-    pub frames_rejected_shutdown: u64,
-    /// Frame requests shed by predictive admission control.
-    pub frames_rejected_predicted: u64,
-    /// Frame responses produced (subcarriers also count in `served`).
-    pub frames_served: u64,
-    /// Frames decoded by the cross-subcarrier fused block path.
-    pub frames_fused: u64,
-    /// Frames that exceeded their deadline.
-    pub frames_deadline_missed: u64,
-    /// Subcarriers decoded through the frame path.
-    pub frame_subcarriers: u64,
-    /// Channel preparations the frame path performed.
-    pub frame_prep_factors: u64,
-    /// Mean subcarriers per served frame.
-    pub mean_frame_size: f64,
-    /// `frame_subcarriers / frame_prep_factors` — how many subcarriers
-    /// each channel factorization served (block size when every frame
-    /// rode the shared-prep path; 1.0 means no amortization).
-    pub prep_amortization: f64,
-    /// 99th-percentile frame end-to-end latency (µs, bucket upper bound).
-    pub p99_frame_latency_us: f64,
-    /// Ingress depth when the snapshot was taken.
-    pub queue_depth: usize,
-    /// Median end-to-end latency (µs, bucket upper bound).
-    pub p50_latency_us: f64,
-    /// 99th-percentile end-to-end latency (µs, bucket upper bound).
-    pub p99_latency_us: f64,
-    /// 99th-percentile queue wait (µs, bucket upper bound).
-    pub p99_queue_wait_us: f64,
-    /// Aggregated decoder instrumentation across all served requests.
-    pub stats: DetectionStats,
 }
 
 impl MetricsSnapshot {
@@ -626,30 +566,43 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_computes_frame_rates() {
+    fn snapshot_computes_prep_amortization_and_frame_ratio() {
         let m = Metrics::new(labels(&["exact"]), 1, 1);
-        m.frames_accepted.store(5, Ordering::Relaxed);
+        m.served.store(64, Ordering::Relaxed);
+        m.prep_factors.store(4, Ordering::Relaxed);
         m.frames_served.store(4, Ordering::Relaxed);
         m.frames_fused.store(3, Ordering::Relaxed);
-        m.frames_deadline_missed.store(1, Ordering::Relaxed);
-        m.frame_subcarriers.store(64, Ordering::Relaxed);
-        m.frame_prep_factors.store(4, Ordering::Relaxed);
-        m.frame_size.record(16);
-        m.frame_latency_ns.record(2_000_000);
         let s = m.snapshot(&[0]);
-        assert_eq!(s.frames_accepted, 5);
-        assert_eq!(s.frames_served, 4);
-        assert_eq!(s.frames_fused, 3);
-        assert_eq!(s.frames_deadline_missed, 1);
-        assert_eq!(s.frame_subcarriers, 64);
-        assert_eq!(s.frame_prep_factors, 4);
-        assert!((s.mean_frame_size - 16.0).abs() < 1e-12);
+        assert_eq!(s.prep_factors, 4);
+        assert_eq!((s.frames_served, s.frames_fused), (4, 3));
         assert!((s.prep_amortization - 16.0).abs() < 1e-12);
-        assert!(s.p99_frame_latency_us >= 2_000.0);
-        // Empty frame path: ratios degrade to 0, not NaN.
+        // Nothing factored yet: the ratio degrades to 0, not NaN.
         let empty = Metrics::new(labels(&["exact"]), 1, 1).snapshot(&[0]);
-        assert_eq!(empty.mean_frame_size, 0.0);
         assert_eq!(empty.prep_amortization, 0.0);
+    }
+
+    /// Each set's rows carry distinct keys, and every summary quantile
+    /// row sits next to its siblings so one header introduces them.
+    #[test]
+    fn declared_rows_are_unique_and_grouped() {
+        fn check<S>(rows: &[Row<S>]) {
+            for (i, r) in rows.iter().enumerate() {
+                assert!(
+                    rows[..i].iter().all(|o| o.key != r.key),
+                    "duplicate key {}",
+                    r.key
+                );
+                let first = rows.iter().position(|o| o.family == r.family).unwrap();
+                assert!(
+                    rows[first..=i].iter().all(|o| o.family == r.family),
+                    "family {} is split",
+                    r.family
+                );
+            }
+        }
+        check(MetricsSnapshot::ROWS);
+        check(ShardSnapshot::ROWS);
+        check(TierSnapshot::ROWS);
     }
 
     #[test]

@@ -12,16 +12,17 @@
 //! A [`FrameRequest`] is the block-scale variant: one coherence block of
 //! an OFDM resource grid — many receive vectors sharing one channel
 //! matrix — submitted as a single unit with one deadline. The runtime
-//! keeps the block intact through the worker pool, factors the shared
+//! keeps the block intact through the worker pool, prepares the shared
 //! channel once, and answers with a [`FrameResponse`] carrying one
 //! [`Detection`] per subcarrier. The same ownership round-trip applies
 //! ([`RejectedFrame`] on refusal, [`crate::ServeRuntime::recycle_frame`]
-//! on collection).
+//! on collection). Inside the runtime the two shapes are one: a
+//! `DetectionRequest` is served as a block of one.
 
 use sd_core::Detection;
 use sd_wireless::FrameData;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One frame to decode, with its service constraints.
 #[derive(Debug)]
@@ -35,13 +36,6 @@ pub struct DetectionRequest {
     /// Response-time budget measured from admission. The paper's
     /// real-time line is [`sd_wireless::REAL_TIME_BUDGET`] (10 ms).
     pub deadline: Duration,
-    /// Stamped by [`crate::ServeRuntime::submit`].
-    pub(crate) enqueued_at: Option<Instant>,
-    /// Predicted service cost (ns) stamped at admission from the target
-    /// shard's *per-tier* cost model: the amount this item adds to the
-    /// shard's queued-cost gauge, removed by whichever worker drains it.
-    /// 0 while predictive admission is off (the gauge has no reader).
-    pub(crate) admitted_cost_ns: u64,
 }
 
 impl DetectionRequest {
@@ -62,8 +56,6 @@ impl DetectionRequest {
             frame,
             snr_db,
             deadline,
-            enqueued_at: None,
-            admitted_cost_ns: 0,
         }
     }
 }
@@ -110,11 +102,6 @@ pub struct FrameRequest {
     /// Response-time budget for the *whole block*, measured from
     /// admission.
     pub deadline: Duration,
-    /// Stamped by [`crate::ServeRuntime::submit_frame`].
-    pub(crate) enqueued_at: Option<Instant>,
-    /// Predicted service cost of the whole block (ns), stamped at
-    /// admission (see [`DetectionRequest::admitted_cost_ns`]).
-    pub(crate) admitted_cost_ns: u64,
 }
 
 impl FrameRequest {
@@ -144,8 +131,6 @@ impl FrameRequest {
             subcarriers,
             snr_db,
             deadline,
-            enqueued_at: None,
-            admitted_cost_ns: 0,
         }
     }
 
@@ -170,9 +155,10 @@ pub struct FrameResponse {
     pub tier: usize,
     /// Registry label of that rung.
     pub tier_label: Arc<str>,
-    /// Channel preparations the block cost: 1 on the shared-prep path,
-    /// `block_len()` on the per-vector fallback — the numerator of the
-    /// prep-amortization ratio.
+    /// Channel preparations the block cost: 0 when its channel's
+    /// factorization came from the prep cache, 1 when the shared channel
+    /// was factored, `block_len()` on the per-vector fallback of a
+    /// non-cacheable tier — the numerator of the prep-amortization ratio.
     pub prep_factors: usize,
     /// Time spent queued before a worker picked the frame up.
     pub queue_wait: Duration,

@@ -13,10 +13,10 @@
 //!
 //! Lifecycle of a request:
 //!
-//! 1. [`ServeRuntime::submit`] stamps the admission time and offers the
-//!    request to its affinity shard's bounded queue. A full (or closing)
-//!    queue returns it immediately as [`Rejected`] — load is shed at the
-//!    door, never queued without bound.
+//! 1. [`ServeRuntime::submit`] (or [`ServeRuntime::submit_frame`]) stamps
+//!    the admission time and offers the request to its affinity shard's
+//!    bounded queue. A full (or closing) queue returns it immediately as
+//!    [`Rejected`] — load is shed at the door, never queued without bound.
 //! 2. A shard worker drains it as part of a batch ([`crate::batcher`]),
 //!    picks a ladder rung from the time left until its deadline
 //!    ([`crate::ladder`]), decodes into a pooled [`sd_core::Detection`]
@@ -24,6 +24,11 @@
 //! 3. The caller collects the [`DetectionResponse`] and (optionally)
 //!    [`ServeRuntime::recycle`]s it, returning the detection buffer to the
 //!    pool and regaining ownership of the request.
+//!
+//! Both request shapes take this one path: a vector is served as a block
+//! of one receive vector, a frame as a block of its subcarriers. The
+//! typed `submit`/`collect`/`recycle` pairs only wrap and unwrap the
+//! shape.
 //!
 //! On top of the shards, an optional **adaptive core budget**
 //! ([`ServeConfig::with_core_budget`]) re-plans how the physical core
@@ -39,7 +44,7 @@
 use crate::batcher::BatchPolicy;
 use crate::budget::{CoreBudgetPolicy, CostModel};
 use crate::export::{render, ExportFormat};
-use crate::ladder::{choose_tier_block_budgeted, LadderConfig};
+use crate::ladder::{choose_tier, LadderConfig};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::prep_cache::{route_hash, PrepCache};
 use crate::queue::{BoundedQueue, PushError};
@@ -50,11 +55,14 @@ use crate::request::{
 };
 use crate::worker::Worker;
 use sd_core::{Detection, WorkerBudget};
-use sd_wireless::Constellation;
+use sd_wireless::{Constellation, FrameData};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Why a detection pool lock can fail.
+pub(crate) const POOL_POISONED: &str = "a thread panicked while holding a detection pool";
 
 /// Logical cores the host reports (1 when the host cannot say).
 pub fn host_cores() -> usize {
@@ -230,32 +238,63 @@ impl ServeConfig {
     }
 }
 
-/// One unit of admitted work: a single vector or a whole coherence
-/// block. A frame is ONE queue item, so its block travels intact through
-/// the batcher — and through any steal — to one worker: the invariant
-/// the shared-prep fast path depends on.
-pub(crate) enum Ingress {
+/// A request as the runtime serves it: a block of one or more receive
+/// vectors that share one channel. A [`DetectionRequest`] is a block of
+/// one; a [`FrameRequest`] travels intact through the batcher — and
+/// through any steal — to one worker, which prepares its shared channel
+/// once.
+pub(crate) enum Request {
     Vector(DetectionRequest),
     Frame(FrameRequest),
 }
 
-impl Ingress {
-    /// Accounting weight: subcarriers for a frame, 1 for a vector.
-    pub(crate) fn weight(&self) -> u64 {
+impl Request {
+    /// The block's receive vectors, all sharing `frames()[0].h`.
+    pub(crate) fn frames(&self) -> &[FrameData] {
         match self {
-            Ingress::Vector(_) => 1,
-            Ingress::Frame(f) => f.block_len() as u64,
+            Request::Vector(r) => std::slice::from_ref(&r.frame),
+            Request::Frame(f) => &f.subcarriers,
         }
     }
 
-    /// Admission-time predicted service cost (ns) stamped at submit — the
-    /// amount the draining worker removes from the owning shard's
-    /// [`Shard::queued_cost_ns`] gauge.
-    pub(crate) fn cost_ns(&self) -> u64 {
+    /// Operating SNR (dB) of the whole block.
+    pub(crate) fn snr_db(&self) -> f64 {
         match self {
-            Ingress::Vector(r) => r.admitted_cost_ns,
-            Ingress::Frame(f) => f.admitted_cost_ns,
+            Request::Vector(r) => r.snr_db,
+            Request::Frame(f) => f.snr_db,
         }
+    }
+
+    /// Response-time budget of the whole block, from admission.
+    pub(crate) fn deadline(&self) -> Duration {
+        match self {
+            Request::Vector(r) => r.deadline,
+            Request::Frame(f) => f.deadline,
+        }
+    }
+}
+
+/// One unit of admitted work: a request plus the stamps admission put on
+/// it.
+pub(crate) struct Ingress {
+    pub(crate) request: Request,
+    /// Admission time; queue wait and latency run from here.
+    pub(crate) enqueued_at: Instant,
+    /// [`route_hash`] of the block's channel: it picked the shard at
+    /// admission and keys the shard's prep cache at the worker, so each
+    /// channel is hashed once per request.
+    pub(crate) hash: u64,
+    /// Admission-time predicted service cost (ns) — the amount the
+    /// draining worker removes from the owning shard's
+    /// [`Shard::queued_cost_ns`] gauge. 0 while predictive admission is
+    /// off (the gauge then has no reader).
+    pub(crate) cost_ns: u64,
+}
+
+impl Ingress {
+    /// Accounting weight: the receive vectors in the block.
+    pub(crate) fn weight(&self) -> u64 {
+        self.request.frames().len() as u64
     }
 }
 
@@ -530,60 +569,76 @@ impl ServeRuntime {
         }
     }
 
-    /// The shard affinity routing assigns to channel matrix `h`.
-    fn shard_for(&self, h: &sd_math::Matrix<f64>) -> usize {
-        (route_hash(h) % self.shared.shards.len() as u64) as usize
-    }
-
-    /// Offer a request. Returns it as [`Rejected`] when its affinity
-    /// shard's queue is full or the runtime is shutting down (the depth
-    /// in the rejection is that shard's, not the global backlog).
+    /// Admission, for both request shapes: stamp the request, route it by
+    /// its channel hash to its affinity shard, apply the predictive gate,
+    /// and offer it to that shard's bounded queue. A full (or closing)
+    /// queue hands it back with the reason at once — load is shed at the
+    /// door; the depth in a `QueueFull` is that shard's, not the global
+    /// backlog. Every counter weighs the request by its receive vectors,
+    /// so `accepted == served` stays closed over mixed traffic.
     // The large Err is the contract: shedding hands the request (and its
     // frame buffers) straight back without touching the allocator.
     #[allow(clippy::result_large_err)]
-    pub fn submit(&self, mut req: DetectionRequest) -> Result<(), Rejected> {
+    fn admit(&self, request: Request) -> Result<(), (Request, RejectReason)> {
         use std::sync::atomic::Ordering::Relaxed;
-        req.enqueued_at = Some(Instant::now());
-        let idx = self.shard_for(&req.frame.h);
+        let enqueued_at = Instant::now();
+        let b = request.frames().len() as u64;
+        let hash = route_hash(&request.frames()[0].h);
+        let idx = (hash % self.shared.shards.len() as u64) as usize;
         let m = &self.shared.metrics;
         let shard = &self.shared.shards[idx];
-        if let Some(predicted_wait) = self.predicted_late(shard, req.deadline) {
-            m.rejected_predicted.fetch_add(1, Relaxed);
-            return Err(Rejected {
-                request: req,
-                reason: RejectReason::PredictedLate { predicted_wait },
-            });
+        if let Some(predicted_wait) = self.predicted_late(shard, request.deadline()) {
+            m.rejected_predicted.fetch_add(b, Relaxed);
+            return Err((request, RejectReason::PredictedLate { predicted_wait }));
         }
-        req.admitted_cost_ns =
-            self.admission_cost_ns(shard, req.snr_db, req.frame.h.cols(), req.deadline, 1);
-        let cost = req.admitted_cost_ns;
-        shard.queued_cost_ns.fetch_add(cost, Relaxed);
-        match shard.queue.try_push(Ingress::Vector(req)) {
+        let cost_ns = self.admission_cost_ns(shard, &request);
+        shard.queued_cost_ns.fetch_add(cost_ns, Relaxed);
+        let item = Ingress {
+            request,
+            enqueued_at,
+            hash,
+            cost_ns,
+        };
+        let (item, reason, counter) = match shard.queue.try_push(item) {
             Ok(()) => {
-                m.accepted.fetch_add(1, Relaxed);
-                m.shards[idx].routed.fetch_add(1, Relaxed);
-                Ok(())
+                m.accepted.fetch_add(b, Relaxed);
+                m.shards[idx].routed.fetch_add(b, Relaxed);
+                return Ok(());
             }
-            Err(PushError::Full(Ingress::Vector(request), depth)) => {
-                shard.queued_cost_ns.fetch_sub(cost, Relaxed);
-                m.rejected_full.fetch_add(1, Relaxed);
-                Err(Rejected {
-                    request,
-                    reason: RejectReason::QueueFull { depth },
-                })
+            Err(PushError::Full(item, depth)) => {
+                (item, RejectReason::QueueFull { depth }, &m.rejected_full)
             }
-            Err(PushError::Closed(Ingress::Vector(request))) => {
-                shard.queued_cost_ns.fetch_sub(cost, Relaxed);
-                m.rejected_shutdown.fetch_add(1, Relaxed);
-                Err(Rejected {
-                    request,
-                    reason: RejectReason::ShuttingDown,
-                })
+            Err(PushError::Closed(item)) => {
+                (item, RejectReason::ShuttingDown, &m.rejected_shutdown)
             }
-            Err(PushError::Full(Ingress::Frame(_), _) | PushError::Closed(Ingress::Frame(_))) => {
-                unreachable!("push returns the item it was offered")
-            }
-        }
+        };
+        shard.queued_cost_ns.fetch_sub(cost_ns, Relaxed);
+        counter.fetch_add(b, Relaxed);
+        Err((item.request, reason))
+    }
+
+    /// Offer a request. Returns it as [`Rejected`] when its affinity
+    /// shard's queue is full, the predictive gate sheds it, or the runtime
+    /// is shutting down.
+    #[allow(clippy::result_large_err)]
+    pub fn submit(&self, req: DetectionRequest) -> Result<(), Rejected> {
+        self.admit(Request::Vector(req))
+            .map_err(|(request, reason)| match request {
+                Request::Vector(request) => Rejected { request, reason },
+                Request::Frame(_) => unreachable!("admission hands back what it was offered"),
+            })
+    }
+
+    /// Offer a whole coherence block as one unit, routed by its shared
+    /// `H` like the vectors repeating that `H`. Returns it as
+    /// [`RejectedFrame`] on refusal.
+    #[allow(clippy::result_large_err)]
+    pub fn submit_frame(&self, req: FrameRequest) -> Result<(), RejectedFrame> {
+        self.admit(Request::Frame(req))
+            .map_err(|(request, reason)| match request {
+                Request::Frame(request) => RejectedFrame { request, reason },
+                Request::Vector(_) => unreachable!("admission hands back what it was offered"),
+            })
     }
 
     /// The predictive-admission check: `Some(predicted_wait)` when the
@@ -606,28 +661,24 @@ impl ServeRuntime {
             .then(|| Duration::from_nanos(wait_ns.min(u64::MAX as f64) as u64))
     }
 
-    /// Price an offered item for the queued-cost gauge: the service time
-    /// the shard's cost model predicts for the tier the ladder would pick
-    /// with the whole deadline still ahead, times the block size. Runs the
-    /// same `choose_tier_block_budgeted` walk the worker will (condition
-    /// gating skipped — the condition number is not known until prep), so
-    /// the stamp tracks what the item will actually cost rather than a
-    /// tier-blind mean. Returns 0 when predictive admission is off: the
-    /// gauge then has no reader and the submit path stays stamp-free.
-    fn admission_cost_ns(
-        &self,
-        shard: &Shard,
-        snr_db: f64,
-        m: usize,
-        deadline: Duration,
-        block: usize,
-    ) -> u64 {
+    /// Price an offered request for the queued-cost gauge: the service
+    /// time the shard's cost model predicts for the tier the ladder would
+    /// pick with the whole deadline still ahead, times the block size. Runs
+    /// the same `choose_tier` walk the worker will (condition gating
+    /// skipped — the condition number is not known until the worker
+    /// computes it), so the stamp tracks what the item will actually cost
+    /// rather than a tier-blind mean. Returns 0 when predictive admission
+    /// is off: the gauge then has no reader and the submit path stays
+    /// stamp-free.
+    fn admission_cost_ns(&self, shard: &Shard, request: &Request) -> u64 {
         if !self.shared.config.predictive_admission {
             return 0;
         }
         let tiers = &self.shared.tiers;
+        let frames = request.frames();
+        let (snr_db, m, block) = (request.snr_db(), frames[0].h.cols(), frames.len());
         let p = tiers[0].detector.constellation().order();
-        let d = choose_tier_block_budgeted(
+        let d = choose_tier(
             &self.shared.config.ladder,
             &shard.model,
             tiers,
@@ -635,80 +686,13 @@ impl ServeRuntime {
             None,
             m,
             p,
-            deadline,
+            request.deadline(),
             block,
         );
-        let per_vector =
-            shard
-                .model
-                .predict_ns_with(d.tier, &tiers[d.tier].cost, snr_db, None, m, p);
+        let per_vector = shard
+            .model
+            .predict_ns(d.tier, &tiers[d.tier].cost, snr_db, None, m, p);
         (per_vector * block as f64).min(u64::MAX as f64) as u64
-    }
-
-    /// Offer a whole coherence block as one unit. The frame is never
-    /// split: it travels through its affinity shard's queue (routed by the
-    /// block's shared `H`, like the vectors repeating that `H`) and the
-    /// batcher as a single item and is decoded by one worker with one
-    /// shared channel preparation. Returns it as [`RejectedFrame`] when
-    /// the shard's queue is full or the runtime is shutting down.
-    ///
-    /// Its subcarriers also count into the vector-level `accepted` /
-    /// `rejected_*` counters, so `accepted == served` stays closed over
-    /// mixed vector/frame traffic.
-    #[allow(clippy::result_large_err)]
-    pub fn submit_frame(&self, mut req: FrameRequest) -> Result<(), RejectedFrame> {
-        use std::sync::atomic::Ordering::Relaxed;
-        req.enqueued_at = Some(Instant::now());
-        let b = req.block_len() as u64;
-        let idx = self.shard_for(&req.subcarriers[0].h);
-        let m = &self.shared.metrics;
-        let shard = &self.shared.shards[idx];
-        if let Some(predicted_wait) = self.predicted_late(shard, req.deadline) {
-            m.frames_rejected_predicted.fetch_add(1, Relaxed);
-            m.rejected_predicted.fetch_add(b, Relaxed);
-            return Err(RejectedFrame {
-                request: req,
-                reason: RejectReason::PredictedLate { predicted_wait },
-            });
-        }
-        req.admitted_cost_ns = self.admission_cost_ns(
-            shard,
-            req.snr_db,
-            req.subcarriers[0].h.cols(),
-            req.deadline,
-            req.block_len(),
-        );
-        let cost = req.admitted_cost_ns;
-        shard.queued_cost_ns.fetch_add(cost, Relaxed);
-        match shard.queue.try_push(Ingress::Frame(req)) {
-            Ok(()) => {
-                m.frames_accepted.fetch_add(1, Relaxed);
-                m.accepted.fetch_add(b, Relaxed);
-                m.shards[idx].routed.fetch_add(b, Relaxed);
-                Ok(())
-            }
-            Err(PushError::Full(Ingress::Frame(request), depth)) => {
-                shard.queued_cost_ns.fetch_sub(cost, Relaxed);
-                m.frames_rejected_full.fetch_add(1, Relaxed);
-                m.rejected_full.fetch_add(b, Relaxed);
-                Err(RejectedFrame {
-                    request,
-                    reason: RejectReason::QueueFull { depth },
-                })
-            }
-            Err(PushError::Closed(Ingress::Frame(request))) => {
-                shard.queued_cost_ns.fetch_sub(cost, Relaxed);
-                m.frames_rejected_shutdown.fetch_add(1, Relaxed);
-                m.rejected_shutdown.fetch_add(b, Relaxed);
-                Err(RejectedFrame {
-                    request,
-                    reason: RejectReason::ShuttingDown,
-                })
-            }
-            Err(PushError::Full(Ingress::Vector(_), _) | PushError::Closed(Ingress::Vector(_))) => {
-                unreachable!("push returns the item it was offered")
-            }
-        }
     }
 
     /// Collect one response without blocking.
@@ -734,14 +718,22 @@ impl ServeRuntime {
     /// Return a response's detection buffer to the pool and hand the
     /// request (with its frame) back to the caller for reuse.
     pub fn recycle(&self, resp: DetectionResponse) -> DetectionRequest {
-        self.shared.pool.lock().unwrap().push(resp.detection);
+        self.shared
+            .pool
+            .lock()
+            .expect(POOL_POISONED)
+            .push(resp.detection);
         resp.request
     }
 
     /// Return a frame response's detection block to the frame pool and
     /// hand the request (with its subcarrier buffers) back for reuse.
     pub fn recycle_frame(&self, resp: FrameResponse) -> FrameRequest {
-        self.shared.frame_pool.lock().unwrap().push(resp.detections);
+        self.shared
+            .frame_pool
+            .lock()
+            .expect(POOL_POISONED)
+            .push(resp.detections);
         resp.request
     }
 
@@ -1068,11 +1060,12 @@ mod tests {
             rt.recycle_frame(f);
         }
         let (snap, _, _) = rt.shutdown();
-        assert_eq!(snap.frames_accepted, 4);
         assert_eq!(snap.frames_served, 4);
-        assert_eq!(snap.frame_subcarriers, 32);
-        assert_eq!(snap.frame_prep_factors, 4);
-        assert!((snap.prep_amortization - 8.0).abs() < 1e-12);
+        // Six distinct channels, each factored once: four frames of eight
+        // subcarriers plus two vectors.
+        assert_eq!(snap.prep_factors, 4 + 2);
+        assert!((snap.prep_amortization - 34.0 / 6.0).abs() < 1e-12);
+        assert_eq!(snap.prep_cache_misses, 34, "a miss counts every subcarrier");
         // Vector-level counters stay closed over the mixture.
         assert_eq!(snap.accepted, 32 + 2);
         assert_eq!(snap.served, 32 + 2);
@@ -1136,12 +1129,12 @@ mod tests {
 
     /// Regression for the tier-blind admission estimate: a backlog of
     /// cheap k-best-tier requests must not shed a probe that the queue
-    /// could absorb hundreds of times over, even when the shard's *mean*
-    /// service time is dominated by exact-tier milliseconds. Under the old
-    /// `backlog × mean_service_ns` estimate, 20 queued items priced at a
-    /// ≈80 ms blended mean predicted a 1.6 s wait and shed the 5 ms probe;
-    /// the per-tier cost stamps price them at ≈15 µs each and admit it.
-    /// The same gauge still sheds the probe once genuinely expensive
+    /// could absorb hundreds of times over, even when the shard's blended
+    /// service time is dominated by exact-tier milliseconds. A
+    /// `backlog × mean service time` estimate priced 20 queued items at a
+    /// ≈80 ms blended mean, predicted a 1.6 s wait and shed the 5 ms
+    /// probe; the per-tier cost stamps price them at ≈15 µs each and admit
+    /// it. The same gauge still sheds the probe once genuinely expensive
     /// exact-tier work is queued — the gate lost no teeth.
     #[test]
     fn mixed_tier_backlog_does_not_shed_cheap_requests() {
@@ -1158,15 +1151,18 @@ mod tests {
         // Train the shard model directly (the runtime is paused, so the
         // EWMAs are exactly what we write): the exact tier costs 100 ms
         // per vector (1e6 nodes at 100 ns/node), the floor tier 1 µs.
-        // The blended mean lands near 80 ms — the figure the old
-        // tier-blind estimate would have priced *every* queued item at.
+        // Their blended mean lands near 80 ms — the figure a tier-blind
+        // estimate would price *every* queued item at.
         let model = &rt.shared.shards[0].model;
-        model.observe(0, &TierCostClass::Adaptive, 12.0, 1_000_000, 100_000_000);
-        model.observe(2, &TierCostClass::Linear, 12.0, 0, 1_000);
-        assert!(
-            model.mean_service_ns() > 1e7,
-            "the tier-blind mean must be milliseconds for the regression to bite"
+        model.observe(
+            0,
+            &TierCostClass::Adaptive,
+            12.0,
+            None,
+            1_000_000,
+            100_000_000,
         );
+        model.observe(2, &TierCostClass::Linear, 12.0, None, 0, 1_000);
 
         let mut rng = StdRng::seed_from_u64(31);
         let mut req_with_deadline = |id: u64, deadline: Duration| {

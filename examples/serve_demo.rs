@@ -205,7 +205,8 @@ fn smoke() {
         "frame smoke must serve every frame"
     );
     assert_eq!(snapshot.frames_served, report.served_frames);
-    assert_eq!(snapshot.frame_subcarriers, report.subcarriers);
+    assert_eq!(snapshot.served, report.subcarriers);
+    assert_eq!(snapshot.prep_factors, report.prep_factors);
     assert!(
         snapshot.prep_amortization >= 1.0,
         "coherence blocks must amortize preparation (got {})",
@@ -216,23 +217,33 @@ fn smoke() {
         snapshot.served,
         "prep accounting must close over frame traffic"
     );
+    // Frames feed the one latency histogram, one sample per frame.
+    assert!(snapshot.p99_latency_us > 0.0, "frame latency recorded");
     let line = json_line(&snapshot);
     validate_json(&line).expect("frame JSON export must parse");
-    for needle in ["\"frames_served\":", "\"prep_amortization\":"] {
-        assert!(line.contains(needle), "JSON export missing {needle}");
+    for needle in [
+        "\"frames_served\":".to_string(),
+        "\"prep_amortization\":".to_string(),
+        format!("\"prep_factors\":{}", snapshot.prep_factors),
+        format!("\"p99_latency_us\":{}", snapshot.p99_latency_us),
+    ] {
+        assert!(line.contains(&needle), "JSON export missing {needle}");
     }
     let prom = prometheus_text(&snapshot);
     for needle in [
-        "sd_serve_frames_served_total",
-        "sd_serve_frame_subcarriers_total",
-        "sd_serve_prep_amortization",
-        "sd_serve_frame_latency_us",
+        "sd_serve_frames_served_total".to_string(),
+        "sd_serve_prep_amortization".to_string(),
+        format!("sd_serve_prep_factors_total {}", snapshot.prep_factors),
+        format!(
+            "sd_serve_latency_us{{quantile=\"0.99\"}} {}",
+            snapshot.p99_latency_us
+        ),
     ] {
-        assert!(prom.contains(needle), "Prometheus export missing {needle}");
+        assert!(prom.contains(&needle), "Prometheus export missing {needle}");
     }
     println!(
-        "frame smoke OK: {} frames / {} subcarriers served, exports validated",
-        snapshot.frames_served, snapshot.frame_subcarriers
+        "frame smoke OK: {} frames / {} subcarriers served, {} factorizations, exports validated",
+        snapshot.frames_served, snapshot.served, snapshot.prep_factors
     );
 
     // Third pass: the anytime ladder under already-expired deadlines.
@@ -311,9 +322,13 @@ fn smoke() {
         snapshot.budget_exhausted, snapshot.served
     );
 
-    // Fourth pass: predictive admission control. Warm the drain-rate
-    // estimate with generous deadlines, freeze the worker, and offer
-    // doomed (nanosecond-deadline) requests: all but the first must shed
+    // Fourth pass: predictive admission control. The gate prices each
+    // queued item at the tier the ladder would run it on, and a doomed
+    // (nanosecond-deadline) request runs on the floor tier, so the
+    // warm-up trains both ends of the ladder: generous deadlines (the
+    // exact tier, all admitted) and expired ones (the floor; once the
+    // floor is priced the gate may shed some of these too). Then freeze
+    // the worker and offer doomed requests: all but the first must shed
     // as PredictedLate, and both export formats must carry the nonzero
     // predictive-shed rows.
     let pcfg = LoadConfig {
@@ -335,8 +350,14 @@ fn smoke() {
         report.served, pcfg.n_requests as u64,
         "generous deadlines must all be admitted and served"
     );
+    let expired = LoadConfig {
+        deadline: Duration::ZERO,
+        ..pcfg.clone()
+    };
+    let report = run_load(&rt, &expired, &c);
+    assert!(report.served > 0, "the floor tier serves expired requests");
     rt.pause();
-    let mut shed = 0u64;
+    let mut shed = report.shed;
     for req in build_requests(
         &LoadConfig {
             deadline: Duration::from_nanos(1),
@@ -353,27 +374,25 @@ fn smoke() {
             shed += 1;
         }
     }
-    assert!(shed > 0, "the frozen backlog must trip the admission gate");
+    assert!(
+        shed > report.shed,
+        "the frozen backlog must trip the admission gate"
+    );
     rt.resume();
     let (snapshot, _, _) = rt.shutdown();
 
     assert_eq!(snapshot.rejected_predicted, shed);
     let line = json_line(&snapshot);
     validate_json(&line).expect("predictive JSON export must parse");
-    for needle in [
-        format!("\"rejected_predicted_late\":{shed}"),
-        "\"frames_rejected_predicted_late\":0".to_string(),
-    ] {
-        assert!(line.contains(&needle), "JSON export missing {needle}");
-    }
+    let needle = format!("\"rejected_predicted_late\":{shed}");
+    assert!(line.contains(&needle), "JSON export missing {needle}");
     let prom = prometheus_text(&snapshot);
-    for needle in [
-        format!("sd_serve_rejected_predicted_late_total {shed}"),
-        "sd_serve_frames_rejected_predicted_late_total 0".to_string(),
-    ] {
-        assert!(prom.contains(&needle), "Prometheus export missing {needle}");
-    }
-    println!("predictive smoke OK: {shed} doomed requests shed at admission, exports validated");
+    let needle = format!("sd_serve_rejected_predicted_late_total {shed}");
+    assert!(prom.contains(&needle), "Prometheus export missing {needle}");
+    println!(
+        "predictive smoke OK: {} doomed requests shed at admission, exports validated",
+        shed - report.shed
+    );
 }
 
 fn main() {

@@ -437,3 +437,116 @@ fn serve_steady_state_is_request_allocation_free() {
     );
     rt.shutdown();
 }
+
+/// One lock-step pass over a ring of frames: submit each, wait for its
+/// response, recycle the detection block, and put the frame back.
+/// Returns the nodes generated during the pass.
+fn serve_frame_roundtrip(
+    rt: &sd_serve::ServeRuntime,
+    ring: &mut std::collections::VecDeque<sd_serve::FrameRequest>,
+) -> u64 {
+    let mut nodes = 0;
+    for _ in 0..ring.len() {
+        let req = ring.pop_front().unwrap();
+        rt.submit_frame(req)
+            .expect("lock-step never fills the queue");
+        let resp = rt
+            .collect_frame_timeout(std::time::Duration::from_secs(10))
+            .expect("runtime stalled");
+        nodes += resp
+            .detections
+            .iter()
+            .map(|d| d.stats.nodes_generated)
+            .sum::<u64>();
+        ring.push_back(rt.recycle_frame(resp));
+    }
+    nodes
+}
+
+#[test]
+fn served_frames_steady_state_is_allocation_free() {
+    let _g = serialized();
+    use sd_serve::{
+        build_frame_requests, build_requests, default_registry, BatchPolicy, FrameLoadConfig,
+        FrameRequest, LadderConfig, LoadConfig, ServeConfig, ServeRuntime,
+    };
+    use sd_wireless::{GridConfig, Modulation};
+    use std::time::Duration;
+    // The submit_frame → collect_frame_timeout → recycle_frame round trip
+    // on the exact tier (per-subcarrier loop) and on a fusable tier, with
+    // vectors riding along. Three channels, each split into two frames,
+    // cycle through a two-entry prep cache: every pass misses (and
+    // evicts) on each channel's first frame and hits on its second, and
+    // the i.i.d. vectors always miss — the steady state must not
+    // allocate either way.
+    let ladder = LadderConfig {
+        enabled: false,
+        kbest_k: 16,
+        anytime: false,
+    };
+    let grid = FrameLoadConfig {
+        grid: GridConfig::new(24, 2, 8, 8)
+            .with_coherence(8, 2)
+            .with_snr(14.0, 0.0),
+        modulation: Modulation::Qam16,
+        offered_rate_hz: 0.0,
+        deadline: Duration::from_secs(1),
+        seed: 0xF2A3E,
+    };
+    let c = sd_wireless::Constellation::new(grid.modulation);
+    let vectors = LoadConfig {
+        n_tx: 8,
+        n_rx: 8,
+        modulation: grid.modulation,
+        snr_grid_db: vec![14.0],
+        n_requests: 4,
+        offered_rate_hz: 0.0,
+        deadline: Duration::from_secs(1),
+        seed: 0xA110D,
+    };
+    for (tier, label) in [(0, "exact"), (1, "k-best")] {
+        let rt = ServeRuntime::start_with_registry(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(16)
+                .with_batch(BatchPolicy::unbatched())
+                .with_ladder(ladder)
+                .with_prep_cache(2),
+            vec![default_registry(&c, &ladder).remove(tier)],
+        );
+        let mut frames: std::collections::VecDeque<FrameRequest> = build_frame_requests(&grid, &c)
+            .into_iter()
+            .flat_map(|block| {
+                let (a, b) = block.subcarriers.split_at(8);
+                [a.to_vec(), b.to_vec()]
+                    .map(|sc| FrameRequest::new(block.id, sc, block.snr_db, block.deadline))
+            })
+            .collect();
+        assert_eq!(frames.len(), 6);
+        let mut ring: std::collections::VecDeque<_> = build_requests(&vectors, &c).into();
+        for _ in 0..3 {
+            serve_frame_roundtrip(&rt, &mut frames);
+            serve_roundtrip(&rt, &mut ring);
+        }
+        let warm = rt.metrics();
+        let before = allocs();
+        let mut nodes = 0;
+        for _ in 0..8 {
+            nodes += serve_frame_roundtrip(&rt, &mut frames);
+            nodes += serve_roundtrip(&rt, &mut ring);
+        }
+        let delta = allocs() - before;
+        let snap = rt.metrics();
+        rt.shutdown();
+        let misses = snap.prep_cache_misses - warm.prep_cache_misses;
+        let hits = snap.prep_cache_hits - warm.prep_cache_hits;
+        assert_eq!(misses, 8 * (3 * 8 + 4), "{label}: misses in the window");
+        assert_eq!(hits, 8 * 3 * 8, "{label}: hits in the window");
+        assert!(nodes > 10_000, "{label}: search too small: {nodes}");
+        assert_eq!(
+            delta, 0,
+            "{delta} allocations across 48 frames and 32 vectors on the {label} \
+             tier ({nodes} nodes): the steady-state frame path allocates"
+        );
+    }
+}

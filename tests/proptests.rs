@@ -214,11 +214,11 @@ proptest! {
         let model = CostModel::new(3);
         for ((tier, class, snr), (has_cond, cond, nodes, ns)) in observations {
             let cond = has_cond.then_some(cond);
-            model.observe_with(tier, &classes[class], snr, cond, nodes, ns);
+            model.observe(tier, &classes[class], snr, cond, nodes, ns);
         }
         for (i, class) in classes.iter().enumerate() {
             for cond in [None, Some(0.0), Some(3.0), Some(64.0)] {
-                let p = model.predict_ns_with(i, class, query_snr, cond, 8, 4);
+                let p = model.predict_ns(i, class, query_snr, cond, 8, 4);
                 prop_assert!(p.is_finite() && p >= 0.0,
                     "tier {i} predicted {p} at snr {query_snr}, cond {cond:?}");
             }
@@ -245,13 +245,13 @@ proptest! {
         let tiers = default_registry(&c, &cfg);
         let model = CostModel::new(tiers.len());
         for (obs_snr, nodes, ns) in observations {
-            model.observe(0, &TierCostClass::Adaptive, obs_snr, nodes, ns);
+            model.observe(0, &TierCostClass::Adaptive, obs_snr, None, nodes, ns);
         }
         let mut sorted = budgets_us;
         sorted.sort_unstable();
         let mut prev_tier = usize::MAX;
         for us in sorted {
-            let t = choose_tier(&cfg, &model, &tiers, snr, 8, 4, Duration::from_micros(us));
+            let t = choose_tier(&cfg, &model, &tiers, snr, None, 8, 4, Duration::from_micros(us), 1).tier;
             prop_assert!(
                 prev_tier == usize::MAX || t <= prev_tier,
                 "budget {us} µs picked tier {t} after a smaller budget picked {prev_tier}"

@@ -10,8 +10,8 @@
 
 use sd_core::{Detection, PrepScratch, Prepared, PreparedDetector, SearchWorkspace};
 use sd_serve::{
-    build_requests, default_registry, DetectionRequest, LadderConfig, LoadConfig, MetricsSnapshot,
-    ServeConfig, ServeRuntime, Tier,
+    build_coherent_requests, build_requests, default_registry, DetectionRequest, LadderConfig,
+    LoadConfig, MetricsSnapshot, ServeConfig, ServeRuntime, Tier,
 };
 use sd_wireless::{Constellation, Modulation, REAL_TIME_BUDGET};
 use std::collections::HashMap;
@@ -27,19 +27,6 @@ fn workload() -> LoadConfig {
         deadline: REAL_TIME_BUDGET,
         seed: 0xC0_4E7E,
     }
-}
-
-/// Requests grouped into coherence blocks: every block of `block` consecutive
-/// requests shares the channel matrix of its first member (fresh `y` each).
-fn coherent_requests(cfg: &LoadConfig, c: &Constellation, block: usize) -> Vec<DetectionRequest> {
-    let mut reqs = build_requests(cfg, c);
-    for i in 0..reqs.len() {
-        if i % block != 0 {
-            let leader_h = reqs[i - i % block].frame.h.clone();
-            reqs[i].frame.h = leader_h;
-        }
-    }
-    reqs
 }
 
 /// Serve `reqs` through a single exact-SD tier (1 worker, ladder off) with
@@ -129,7 +116,7 @@ fn cached_serving_is_bit_identical_and_counters_reconcile() {
     let cfg = workload();
     let c = Constellation::new(cfg.modulation);
     const BLOCK: usize = 9;
-    let reqs = coherent_requests(&cfg, &c, BLOCK);
+    let reqs = build_coherent_requests(&cfg, BLOCK, &c);
     let n = reqs.len() as u64;
     let blocks = reqs.len().div_ceil(BLOCK) as u64;
 
@@ -140,7 +127,7 @@ fn cached_serving_is_bit_identical_and_counters_reconcile() {
     };
     let truth = direct_decodes(&*tier.detector, &reqs);
 
-    let (cached, snap_on) = serve_all(coherent_requests(&cfg, &c, BLOCK), &c, 8, None);
+    let (cached, snap_on) = serve_all(build_coherent_requests(&cfg, BLOCK, &c), &c, 8, None);
     let (uncached, snap_off) = serve_all(reqs, &c, 0, None);
 
     assert_same_detections(&cached, &truth, "cached vs direct");

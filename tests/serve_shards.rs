@@ -326,8 +326,10 @@ fn stolen_work_is_bit_identical_and_attributed() {
 
 /// Frames are stolen whole: frame traffic concentrated on ONE shard (all
 /// frames share one channel matrix) keeps block integrity — one
-/// detection per subcarrier, one preparation — no matter which worker
-/// ends up decoding each block.
+/// detection per subcarrier, at most one factorization — no matter which
+/// worker ends up decoding each block. A stolen frame uses the thief
+/// shard's prep cache, so the shared channel is factored at most once per
+/// shard and every other frame is a cache hit.
 #[test]
 fn stolen_frames_stay_whole() {
     let n_shards = shards_under_test();
@@ -374,14 +376,21 @@ fn stolen_frames_stay_whole() {
         rt.submit_frame(f).expect("sized for the stream");
     }
     rt.resume();
+    let mut factored = 0;
     for _ in 0..n_frames {
         let resp = rt
             .collect_frame_timeout(Duration::from_secs(10))
             .expect("frame steal stalled");
         assert_eq!(resp.detections.len(), block, "block never split");
-        assert_eq!(resp.prep_factors, 1, "one preparation per block");
+        assert!(resp.prep_factors <= 1, "at most one preparation per block");
+        factored += resp.prep_factors;
     }
     let (snap, _, _) = rt.shutdown();
+    assert!(
+        (1..=n_shards).contains(&factored),
+        "one factorization per shard that served the channel, got {factored}"
+    );
+    assert_eq!(snap.prep_factors, factored as u64);
     assert_eq!(snap.frames_served, n_frames as u64);
     let served: u64 = snap.shards.iter().map(|s| s.served).sum();
     assert_eq!(served, snap.served, "frame weight survives stealing");
