@@ -22,6 +22,15 @@ echo "==> quantized BER gate (release)"
 # speed.
 cargo test -q --release --test quantized -- --ignored
 
+echo "==> exact DFS bit-identity (release)"
+# The iterative sorted DFS must return the seed recursion's bits —
+# indices, every DetectionStats field, metric bits — traced or not, in the
+# release codegen the benchmark measures (the lane kernel vectorizes
+# there).
+cargo test -q --release --test bit_identity --test arena_vs_reference \
+  --test parallel_exactness
+cargo test -q --release --test telemetry traced_decode_equals_untraced
+
 echo "==> parallel determinism stress (SD_STRESS_ITERS=200)"
 # The subtree-parallel decoder must return bit-identical answers on every
 # run regardless of thread interleaving; hammer it at full hardware

@@ -411,20 +411,31 @@ fn main() {
     let fuse_fsd = fuse("fsd_fx_linf");
 
     let children = (BATCH * 16) as f64;
+    // The parallel rows only show their scaling on a multi-core host;
+    // record how many cores this run actually had so the numbers are
+    // interpretable (on 1 core the fan-out can only cost, never pay). The
+    // DFS rows carry it themselves, and a worker count above it is flagged.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let rows: Vec<String> = c
         .results()
         .iter()
         .map(|r| {
+            let mut extra = String::new();
+            if r.id.starts_with("decode_16x16_qam16/dfs/") {
+                extra = format!(", \"host_cores\": {cores}");
+                let workers =
+                    r.id.rsplit_once("parallel")
+                        .map(|(_, w)| w.parse::<usize>());
+                if let Some(Ok(w)) = workers {
+                    extra += &format!(", \"oversubscribed\": {}", w > cores);
+                }
+            }
             format!(
-                "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}}}",
+                "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}{extra}}}",
                 r.id, r.ns_per_iter
             )
         })
         .collect();
-    // The parallel rows only show their scaling on a multi-core host;
-    // record how many cores this run actually had so the numbers are
-    // interpretable (on 1 core the fan-out can only cost, never pay).
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"config\": {{\"n_tx\": {N_TX}, \"modulation\": \"QAM16\", \"batch\": {BATCH}, \
          \"depth\": {DEPTH}, \"seed\": \"0x5DC0DE\", \"host_cores\": {cores}}},\n  \"results\": [\n{}\n  ],\n  \
@@ -435,7 +446,7 @@ fn main() {
          \"speedup_blocked\": {:.2},\n    \
          \"speedup_parallel\": {:.2}\n  }},\n  \
          \"end_to_end_dfs\": {{\"reference_ns\": {:.0}, \"before_ns\": {:.0}, \
-         \"after_ns\": {:.0}, \"workers\": {}, \"speedup\": {:.2}}},\n  \
+         \"after_ns\": {:.0}, \"workers\": {}, \"speedup\": {:.2}, \"host_cores\": {cores}}},\n  \
          \"end_to_end_kbest32\": {{\"before_ns\": {:.0}, \"after_ns\": {:.0}, \"speedup\": {:.2}}},\n  \
          \"quantized\": {{\"kbest32_float_ns\": {:.0}, \"kbest32_fixed_ns\": {:.0}, \
          \"kbest32_speedup\": {:.2}, \"fsd1_float_ns\": {:.0}, \"fsd1_fixed_linf_ns\": {:.0}, \

@@ -16,12 +16,14 @@
 //! never needs the materialized path at all.
 //!
 //! [`SearchWorkspace`] bundles the arena with every other buffer a search
-//! needs (PD scratch, frontier vectors, the best-first heap, sort
-//! buffers). Holding one workspace across `detect_prepared_in` calls makes
-//! the steady-state search loop allocation-free: after capacity warm-up,
-//! decoding touches the allocator only to build the returned `Detection`.
+//! needs (PD scratch, frontier vectors, the best-first heap, the
+//! depth-first state table). Holding one workspace across
+//! `detect_prepared_in` calls makes the steady-state search loop
+//! allocation-free: after capacity warm-up, decoding touches the
+//! allocator only to build the returned `Detection`.
 
 use crate::best_first::OpenNode;
+use crate::dfs::DfsTable;
 use crate::pd::PdScratch;
 use crate::trace::{SearchTelemetry, TraceSink};
 use sd_math::Float;
@@ -170,12 +172,12 @@ pub struct SearchWorkspace<F: Float> {
     pub(crate) ybar_lanes: Vec<sd_math::Complex<F>>,
     /// Path materialization buffer.
     pub(crate) path_buf: Vec<usize>,
-    /// DFS current path.
+    /// Path under construction (FSD, greedy completion).
     pub(crate) path: Vec<usize>,
-    /// DFS best leaf path.
+    /// Depth-first searches' best leaf path.
     pub(crate) best_path: Vec<usize>,
-    /// Per-depth `(increment, child)` sort buffers for sorted descent.
-    pub(crate) sort_bufs: Vec<Vec<(F, usize)>>,
+    /// Depth-first searches' per-level state table.
+    pub(crate) dfs: DfsTable<F>,
     /// Optional observability sink; engines emit search events into it
     /// when present and skip every emission when `None`.
     pub(crate) trace: Option<Box<dyn TraceSink>>,
@@ -197,7 +199,7 @@ impl<F: Float> SearchWorkspace<F> {
             path_buf: Vec::new(),
             path: Vec::new(),
             best_path: Vec::new(),
-            sort_bufs: Vec::new(),
+            dfs: DfsTable::default(),
             trace: None,
         }
     }
@@ -238,9 +240,7 @@ impl<F: Float> SearchWorkspace<F> {
     /// depth `n_tx`, allocating only on growth.
     pub(crate) fn prepare(&mut self, order: usize, n_tx: usize) {
         self.scratch.ensure(order, n_tx);
-        if self.sort_bufs.len() < n_tx {
-            self.sort_bufs.resize_with(n_tx, Vec::new);
-        }
+        self.dfs.ensure(order, n_tx);
         self.arena.clear();
         self.heap.clear();
         self.frontier.clear();

@@ -25,7 +25,7 @@
 use crate::arena::{SearchWorkspace, NIL};
 use crate::detector::{Detection, SearchQuality};
 use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
-use crate::pd::{eval_children_batch, greedy_tail};
+use crate::pd::{eval_children_batch, greedy_tail, EvalStrategy};
 use crate::preprocess::Prepared;
 use crate::radius::InitialRadius;
 use crate::select::keep_best;
@@ -195,6 +195,7 @@ impl<F: Float> BfsGemmSd<F> {
                     ws.arena.path_into(id, &mut ws.path_buf);
                     let final_pd = greedy_tail(
                         prep,
+                        EvalStrategy::Gemm,
                         &mut ws.path_buf,
                         F::from_f64(pd),
                         stats,

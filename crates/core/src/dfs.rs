@@ -12,11 +12,11 @@
 use crate::arena::SearchWorkspace;
 use crate::detector::{Detection, DetectionStats, SearchQuality};
 use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
-use crate::pd::{children_into, eval_children, sorted_children_into, EvalStrategy, PdScratch};
+use crate::pd::{eval_lanes, greedy_tail, order_lanes, EvalStrategy};
 use crate::preprocess::{ColumnOrdering, Prepared};
 use crate::radius::InitialRadius;
 use crate::trace::{span_clock, span_ns, Phase, TraceSink};
-use sd_math::Float;
+use sd_math::{Complex, Float};
 use sd_wireless::Constellation;
 use std::time::Instant;
 
@@ -29,7 +29,7 @@ use std::time::Instant;
 /// traversal and accounting, but the untraced binary carries zero
 /// per-node branches for it. (Boxing the sink into an `Option<&mut dyn>`
 /// field cost ~11% end-to-end on 16×16/16-QAM; see BENCH_expansion.json.)
-trait DfsSink {
+pub(crate) trait DfsSink {
     /// Whether phase spans should read the clock.
     const ACTIVE: bool;
     fn on_phase(&mut self, phase: Phase, ns: u64);
@@ -43,7 +43,7 @@ trait DfsSink {
 
 /// The untraced decode: all hooks are no-ops and the optimizer deletes
 /// them (and the clock reads guarded by `ACTIVE`).
-struct NoSink;
+pub(crate) struct NoSink;
 
 impl DfsSink for NoSink {
     const ACTIVE: bool = false;
@@ -65,7 +65,7 @@ impl DfsSink for NoSink {
 
 /// The traced decode: forwards every hook to the workspace's
 /// [`TraceSink`].
-struct DynSink<'a>(&'a mut (dyn TraceSink + 'static));
+pub(crate) struct DynSink<'a>(pub(crate) &'a mut (dyn TraceSink + 'static));
 
 impl DfsSink for DynSink<'_> {
     const ACTIVE: bool = true;
@@ -178,10 +178,10 @@ impl<F: Float> PreparedDetector<F> for SphereDecoder<F> {
     }
 
     /// Decode an already-preprocessed problem into a caller-owned
-    /// [`Detection`]: the path, best-path and per-depth child-sort
-    /// buffers all come from `ws`, and `out`'s index vector and
-    /// per-level histogram keep their capacity — with a warm `ws` and
-    /// `out`, a decode performs zero heap allocations.
+    /// [`Detection`]: the state table and best-path buffer come from
+    /// `ws`, and `out`'s index vector and per-level histogram keep their
+    /// capacity — with a warm `ws` and `out`, a decode performs zero heap
+    /// allocations.
     fn detect_prepared_into(
         &self,
         prep: &Prepared<F>,
@@ -235,9 +235,7 @@ impl<F: Float> SphereDecoder<F> {
         out.stats.final_radius_sqr = best_metric.to_f64();
         out.stats.flops += prep.prep_flops;
     }
-}
 
-impl<F: Float> SphereDecoder<F> {
     /// The restart loop, monomorphized per sink type. Returns the final
     /// squared radius.
     fn run<S: DfsSink>(
@@ -249,236 +247,289 @@ impl<F: Float> SphereDecoder<F> {
         out: &mut Detection,
         sink: S,
     ) -> F {
-        let mut search = Search {
+        let mut dfs = Dfs {
             prep,
-            scratch: &mut ws.scratch,
-            stats: &mut out.stats,
-            path: &mut ws.path,
-            best_path: &mut ws.best_path,
-            sort_bufs: &mut ws.sort_bufs,
-            best_metric: F::from_f64(radius_sqr),
-            sort: self.sort_children,
             eval: self.eval,
+            sort: self.sort_children,
+            leaves: prep.n_tx,
+            table: &mut ws.dfs,
+            stats: &mut out.stats,
+            sink,
+        };
+        let mut incumbent = Incumbent {
+            radius: F::from_f64(radius_sqr),
+            best_path: &mut ws.best_path,
             max_nodes: budget.max_nodes,
             deadline: budget.deadline,
-            truncated: false,
-            sink,
         };
         let mut r2 = radius_sqr;
         loop {
-            search.descend(F::ZERO);
-            if search.truncated {
+            if !dfs.walk(&[], F::ZERO, &mut incumbent) {
                 // The budget tripped: keep the best-so-far leaf, or
                 // complete one greedily if the budget expired before the
                 // first dive reached the bottom. Never restart — the
                 // spend is gone either way.
-                let spent = search.stats.nodes_generated;
-                if search.best_path.is_empty() {
-                    search.greedy_complete();
+                let spent = dfs.stats.nodes_generated;
+                if incumbent.best_path.is_empty() {
+                    incumbent.radius = greedy_tail(
+                        prep,
+                        self.eval,
+                        incumbent.best_path,
+                        F::ZERO,
+                        dfs.stats,
+                        &mut ws.scratch,
+                    );
+                    dfs.stats.leaves_reached += 1;
+                    dfs.stats.radius_updates += 1;
                 }
-                search.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
+                dfs.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
                 break;
             }
-            if !search.best_path.is_empty() {
+            if !incumbent.best_path.is_empty() {
                 break;
             }
             // Empty sphere: enlarge and retry (keeps the decoder exact
             // for finite initial radii).
             r2 *= InitialRadius::RESTART_GROWTH;
-            search.stats.restarts += 1;
-            search.sink.on_restart();
-            search.best_metric = F::from_f64(r2);
+            dfs.stats.restarts += 1;
+            dfs.sink.on_restart();
+            incumbent.radius = F::from_f64(r2);
             assert!(
-                search.stats.restarts < 64,
+                dfs.stats.restarts < 64,
                 "sphere radius failed to capture any leaf"
             );
         }
-        search.best_metric
+        incumbent.radius
     }
 }
 
 impl_detector_via_prepared!(SphereDecoder<F>, "SD sorted-DFS (paper)");
 
-/// One in-flight tree search, borrowing all buffers from a
-/// [`SearchWorkspace`].
-struct Search<'a, F: Float, S: DfsSink> {
-    prep: &'a Prepared<F>,
-    scratch: &'a mut PdScratch<F>,
-    stats: &'a mut DetectionStats,
-    /// Current path, depth order (`path[d]` = antenna `M−1−d`).
-    path: &'a mut Vec<usize>,
-    best_path: &'a mut Vec<usize>,
-    /// Per-depth `(increment, child)` buffers: `descend` at depth `d` owns
-    /// `sort_bufs[d]` for the duration of its sibling loop, so recursion
-    /// never aliases and no expansion clones the increments.
-    sort_bufs: &'a mut [Vec<(F, usize)>],
+/// The sequential decoder's walk: prune against its own incumbent radius,
+/// shrink it at every leaf, and stop on its own [`DecodeBudget`].
+struct Incumbent<'a, F: Float> {
     /// Current squared sphere radius (shrinks on every accepted leaf).
-    best_metric: F,
-    sort: bool,
-    eval: EvalStrategy,
+    radius: F,
+    best_path: &'a mut Vec<usize>,
     /// Node-generation ceiling ([`DecodeBudget::max_nodes`]); `u64::MAX`
     /// when unbudgeted.
     max_nodes: u64,
     /// Wall-clock cutoff, sampled every 64 expansions.
     deadline: Option<Instant>,
-    /// Latched once the budget trips; unwinds the recursion without
-    /// expanding or accepting anything further.
-    truncated: bool,
-    /// Observability sink ([`NoSink`] on the untraced hot path).
-    sink: S,
 }
 
-impl<F: Float, S: DfsSink> Search<'_, F, S> {
-    /// Whether the budget has expired. The node check is one integer
-    /// compare per expansion; the deadline is sampled every 64
-    /// expansions and only when one is set, so the unbudgeted hot path
-    /// pays (almost) nothing. A budget only ever *stops* the traversal —
-    /// it never reorders it — which is what keeps budgeted decodes
-    /// bit-identical to unbudgeted ones whenever the budget is not hit.
+impl<F: Float> DfsWalk<F> for Incumbent<'_, F> {
+    /// The node check is one integer compare per expansion; the deadline
+    /// is sampled every 64 expansions and only when one is set, so the
+    /// unbudgeted hot path pays (almost) nothing.
     #[inline]
-    fn budget_tripped(&self) -> bool {
-        if self.stats.nodes_generated >= self.max_nodes {
-            return true;
-        }
-        match self.deadline {
-            Some(d) => (self.stats.nodes_expanded & 63) == 0 && Instant::now() >= d,
-            None => false,
+    fn tripped(&mut self, stats: &DetectionStats, _children: u64) -> bool {
+        stats.nodes_generated >= self.max_nodes
+            || self
+                .deadline
+                .is_some_and(|d| (stats.nodes_expanded & 63) == 0 && Instant::now() >= d)
+    }
+
+    #[inline]
+    fn admits(&self, pd: F) -> bool {
+        pd < self.radius
+    }
+
+    /// A leaf inside the sphere: Algorithm 1 lines 7–9.
+    fn leaf<S: DfsSink>(&mut self, path: &[usize], pd: F, st: &mut DetectionStats, sink: &mut S) {
+        st.leaves_reached += 1;
+        st.radius_updates += 1;
+        self.radius = pd;
+        let t0 = span_clock(S::ACTIVE);
+        self.best_path.clear();
+        self.best_path.extend_from_slice(path);
+        sink.on_phase(Phase::Leaf, span_ns(t0));
+        sink.on_radius_update(path.len() - 1, pd.to_f64());
+    }
+}
+
+/// What tells the three depth-first walks apart — the sequential decode,
+/// the subtree-parallel enumeration and a parallel worker: where the
+/// pruning bound comes from, what an accepted child at the leaf depth
+/// does, and whose budget an expansion draws on. Everything else is
+/// [`Dfs::walk`].
+pub(crate) trait DfsWalk<F: Float> {
+    /// Whether the budget has run out; asked before every expansion of
+    /// `children` nodes. It only ever stops the walk, never reorders it,
+    /// so an untripped budget changes nothing.
+    fn tripped(&mut self, stats: &DetectionStats, children: u64) -> bool;
+    /// Whether a child with partial distance `pd` lies inside the sphere.
+    fn admits(&self, pd: F) -> bool;
+    /// An accepted child at the leaf depth, whose path (ending in the
+    /// child) is `path`.
+    fn leaf<S: DfsSink>(&mut self, path: &[usize], pd: F, st: &mut DetectionStats, sink: &mut S);
+}
+
+/// The depth-first search's per-level state table — the software form
+/// of the paper's Meta State Table (Sec. III-C3) fed by its sort unit:
+/// per depth, the expanded node's children in visit order, the next rank
+/// to try and the node's partial distance. [`Dfs::walk`] runs on it in
+/// place of a recursion.
+#[derive(Default)]
+pub(crate) struct DfsTable<F: Float> {
+    /// Natural-order increments of the latest expansion (`P` lanes).
+    lanes: Vec<F>,
+    /// Per depth, `P` increments in visit order …
+    inc: Vec<F>,
+    /// … and the matching constellation indices.
+    child: Vec<u32>,
+    /// Per depth, the next rank to try.
+    next: Vec<usize>,
+    /// Per depth, the partial distance of the expanded node.
+    pd: Vec<F>,
+    /// Per depth, the child the current path fixes.
+    path: Vec<usize>,
+    /// Per antenna, the symbol the current path fixes: antenna `i`'s
+    /// suffix is `sym[i+1..M]`, already in PD suffix order.
+    sym: Vec<Complex<F>>,
+}
+
+impl<F: Float> DfsTable<F> {
+    /// Size the table for branching factor `order` and depth `n_tx`,
+    /// allocating only on growth.
+    pub(crate) fn ensure(&mut self, order: usize, n_tx: usize) {
+        self.lanes.resize(order, F::ZERO);
+        self.inc.resize(order * n_tx, F::ZERO);
+        self.child.resize(order * n_tx, 0);
+        self.next.resize(n_tx, 0);
+        self.pd.resize(n_tx, F::ZERO);
+        self.path.resize(n_tx, 0);
+        self.sym.resize(n_tx, Complex::zero());
+    }
+}
+
+/// One depth-first search in flight: the problem, the expansion policy,
+/// the state table and the stats it charges, and the observability sink
+/// ([`NoSink`] on the untraced hot path).
+pub(crate) struct Dfs<'a, F: Float, S: DfsSink> {
+    pub(crate) prep: &'a Prepared<F>,
+    pub(crate) eval: EvalStrategy,
+    /// Visit children in ascending increment order (`false` is the plain
+    /// DFS ablation: natural order, each child pruned on its own).
+    pub(crate) sort: bool,
+    /// The depth whose accepted children go to [`DfsWalk::leaf`]: `M`,
+    /// or the split depth of the subtree-parallel enumeration.
+    pub(crate) leaves: usize,
+    pub(crate) table: &'a mut DfsTable<F>,
+    pub(crate) stats: &'a mut DetectionStats,
+    pub(crate) sink: S,
+}
+
+impl<F: Float, S: DfsSink> Dfs<'_, F, S> {
+    /// Search the subtree below the node that fixes `prefix` (depth
+    /// order), whose partial distance is `pd0`; `false` when the budget
+    /// tripped, which ends the walk at once. Nodes are visited in the
+    /// recursion's order with the same counters and sink events: the
+    /// budget is asked before each expansion, a child meets the bound
+    /// when its turn comes (after any leaf below an earlier sibling), and
+    /// in sorted order the first child outside prunes all the rest.
+    pub(crate) fn walk<W: DfsWalk<F>>(&mut self, prefix: &[usize], pd0: F, w: &mut W) -> bool {
+        match self.prep.order {
+            2 => self.walk_lanes::<W, 2>(prefix, pd0, w),
+            4 => self.walk_lanes::<W, 4>(prefix, pd0, w),
+            16 => self.walk_lanes::<W, 16>(prefix, pd0, w),
+            _ => self.walk_lanes::<W, 0>(prefix, pd0, w),
         }
     }
 
-    /// Expand the node identified by `self.path` whose PD is `pd`.
-    fn descend(&mut self, pd: F) {
-        if self.truncated || self.budget_tripped() {
-            self.truncated = true;
-            return;
+    /// [`Dfs::walk`] with the kernel's lane width (`0`: none) fixed at
+    /// compile time.
+    fn walk_lanes<W: DfsWalk<F>, const LANES: usize>(
+        &mut self,
+        prefix: &[usize],
+        pd0: F,
+        w: &mut W,
+    ) -> bool {
+        let p = if LANES > 0 { LANES } else { self.prep.order };
+        let start = prefix.len();
+        for (d, &child) in prefix.iter().enumerate() {
+            self.fix(d, child);
         }
-        let depth = self.path.len();
-        let m = self.prep.n_tx;
-        let p = self.prep.order;
+        if !self.expand::<W, LANES>(start, pd0, w) {
+            return false;
+        }
+        let mut d = start;
+        loop {
+            let rank = self.table.next[d];
+            if rank < p {
+                let at = d * p + rank;
+                let pd = self.table.pd[d] + self.table.inc[at];
+                if w.admits(pd) {
+                    self.table.next[d] = rank + 1;
+                    self.sink.on_accept(d, 1);
+                    self.fix(d, self.table.child[at] as usize);
+                    if d + 1 == self.leaves {
+                        w.leaf(&self.table.path[..=d], pd, self.stats, &mut self.sink);
+                    } else {
+                        d += 1;
+                        if !self.expand::<W, LANES>(d, pd, w) {
+                            return false;
+                        }
+                    }
+                    continue;
+                }
+                if !self.sort {
+                    self.table.next[d] = rank + 1;
+                    self.stats.nodes_pruned += 1;
+                    self.sink.on_prune(d, 1);
+                    continue;
+                }
+                // Sorted order ⇒ every remaining sibling is pruned too.
+                let rest = (p - rank) as u64;
+                self.stats.nodes_pruned += rest;
+                self.sink.on_prune(d, rest);
+            }
+            if d == start {
+                return true;
+            }
+            d -= 1;
+        }
+    }
+
+    /// Fix `child` at depth `d` on the current path.
+    #[inline]
+    fn fix(&mut self, d: usize, child: usize) {
+        self.table.path[d] = child;
+        self.table.sym[self.prep.n_tx - 1 - d] = self.prep.points[child];
+    }
+
+    /// Expand the depth-`d` node of the current path into its table row.
+    #[inline]
+    fn expand<W: DfsWalk<F>, const LANES: usize>(&mut self, d: usize, pd: F, w: &mut W) -> bool {
+        let p = if LANES > 0 { LANES } else { self.prep.order };
+        if w.tripped(self.stats, p as u64) {
+            return false;
+        }
+        let t = &mut *self.table;
         self.stats.nodes_expanded += 1;
         let t0 = span_clock(S::ACTIVE);
-        self.stats.flops += eval_children(self.prep, self.path, self.eval, self.scratch);
+        self.stats.flops += eval_lanes::<F, LANES>(self.prep, d, &t.sym, self.eval, &mut t.lanes);
         self.sink.on_phase(Phase::Expand, span_ns(t0));
-        self.sink.on_expand(depth, 1, p as u64);
+        self.sink.on_expand(d, 1, p as u64);
         self.stats.nodes_generated += p as u64;
-        self.stats.per_level_generated[depth] += p as u64;
-
-        // Take this depth's buffer out so `visit` can recurse into deeper
-        // levels; recursion overwrites `scratch.increments`, which is why
-        // the seed implementation cloned them every expansion.
-        let mut children = std::mem::take(&mut self.sort_bufs[depth]);
+        self.stats.per_level_generated[d] += p as u64;
+        let row = d * p..(d + 1) * p;
         if self.sort {
             let t0 = span_clock(S::ACTIVE);
-            sorted_children_into(&self.scratch.increments, &mut children);
+            order_lanes::<F, LANES>(&t.lanes, &mut t.inc[row.clone()], &mut t.child[row]);
             self.sink.on_phase(Phase::Sort, span_ns(t0));
-            self.sink.on_sort(depth, p as u64);
-            for (rank, &(inc, child)) in children.iter().enumerate() {
-                if self.truncated {
-                    break;
-                }
-                let child_pd = pd + inc;
-                if !(child_pd < self.best_metric) {
-                    // Sorted order ⇒ every remaining sibling is pruned too.
-                    self.stats.nodes_pruned += (p - rank) as u64;
-                    self.sink.on_prune(depth, (p - rank) as u64);
-                    break;
-                }
-                self.visit(child, child_pd, depth, m);
-            }
+            self.sink.on_sort(d, p as u64);
         } else {
-            // Plain DFS ablation: natural constellation order.
-            children_into(&self.scratch.increments, &mut children);
-            for &(inc, child) in children.iter() {
-                if self.truncated {
-                    break;
-                }
-                let child_pd = pd + inc;
-                if child_pd < self.best_metric {
-                    self.visit(child, child_pd, depth, m);
-                } else {
-                    self.stats.nodes_pruned += 1;
-                    self.sink.on_prune(depth, 1);
-                }
-            }
+            t.inc[row.clone()].copy_from_slice(&t.lanes);
+            t.child[row]
+                .iter_mut()
+                .zip(0..)
+                .for_each(|(slot, c)| *slot = c);
         }
-        self.sort_bufs[depth] = children;
+        t.pd[d] = pd;
+        t.next[d] = 0;
+        true
     }
-
-    /// The budget expired before the first dive reached a leaf: finish a
-    /// path greedily so a truncated decode still returns a complete
-    /// symbol vector (SIC-style, the weakest anytime answer).
-    fn greedy_complete(&mut self) {
-        self.best_metric = greedy_leaf(
-            self.prep,
-            self.eval,
-            self.scratch,
-            self.stats,
-            self.path,
-            self.best_path,
-        );
-    }
-
-    #[inline]
-    fn visit(&mut self, child: usize, child_pd: F, depth: usize, m: usize) {
-        self.sink.on_accept(depth, 1);
-        if depth + 1 == m {
-            // Leaf inside the sphere: Algorithm 1 lines 7–9.
-            self.stats.leaves_reached += 1;
-            self.stats.radius_updates += 1;
-            self.best_metric = child_pd;
-            let t0 = span_clock(S::ACTIVE);
-            self.best_path.clear();
-            self.best_path.extend_from_slice(self.path);
-            self.best_path.push(child);
-            self.sink.on_phase(Phase::Leaf, span_ns(t0));
-            self.sink.on_radius_update(depth, child_pd.to_f64());
-        } else {
-            self.path.push(child);
-            self.descend(child_pd);
-            self.path.pop();
-        }
-    }
-}
-
-/// Greedily complete one root-to-leaf path — the minimum-increment child
-/// at every level, radius ignored — charging the evaluations to `stats`
-/// like any others. Returns the leaf metric; the path lands in
-/// `best_path` (depth order). Shared by the budget-truncation fallbacks
-/// of the sequential and subtree-parallel decoders.
-pub(crate) fn greedy_leaf<F: Float>(
-    prep: &Prepared<F>,
-    eval: EvalStrategy,
-    scratch: &mut PdScratch<F>,
-    stats: &mut DetectionStats,
-    path: &mut Vec<usize>,
-    best_path: &mut Vec<usize>,
-) -> F {
-    let m = prep.n_tx;
-    let p = prep.order;
-    path.clear();
-    let mut pd = F::ZERO;
-    for depth in 0..m {
-        stats.nodes_expanded += 1;
-        stats.flops += eval_children(prep, path, eval, scratch);
-        stats.nodes_generated += p as u64;
-        stats.per_level_generated[depth] += p as u64;
-        let mut best_child = 0usize;
-        let mut best_inc = scratch.increments[0];
-        for (i, &inc) in scratch.increments.iter().enumerate().skip(1) {
-            if inc < best_inc {
-                best_inc = inc;
-                best_child = i;
-            }
-        }
-        pd += best_inc;
-        path.push(best_child);
-    }
-    stats.leaves_reached += 1;
-    stats.radius_updates += 1;
-    best_path.clear();
-    best_path.extend_from_slice(path);
-    path.clear();
-    pd
 }
 
 #[cfg(test)]

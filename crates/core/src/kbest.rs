@@ -20,7 +20,7 @@ use crate::arena::{SearchWorkspace, NIL};
 use crate::block::decode_prepared_loop;
 use crate::detector::{Detection, SearchQuality};
 use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
-use crate::pd::{eval_children_batch, eval_children_batch_fused, greedy_tail};
+use crate::pd::{eval_children_batch, eval_children_batch_fused, greedy_tail, EvalStrategy};
 use crate::preprocess::{BlockPrep, Prepared};
 use crate::select::{keep_best, keep_best_slice};
 use crate::trace::{span_clock, span_ns, Phase};
@@ -171,7 +171,14 @@ impl<F: Float> PreparedDetector<F> for KBestSd<F> {
                 .min_by(|a, b| a.0.to_f64().total_cmp(&b.0.to_f64()))
                 .expect("frontier is never empty");
             ws.arena.path_into(id, &mut ws.path_buf);
-            let final_pd = greedy_tail(prep, &mut ws.path_buf, pd, &mut out.stats, &mut ws.scratch);
+            let final_pd = greedy_tail(
+                prep,
+                EvalStrategy::Gemm,
+                &mut ws.path_buf,
+                pd,
+                &mut out.stats,
+                &mut ws.scratch,
+            );
             out.stats.leaves_reached += 1;
             out.stats.radius_updates = 1;
             out.stats.final_radius_sqr = final_pd.to_f64();
@@ -322,6 +329,7 @@ impl<F: Float> PreparedDetector<F> for KBestSd<F> {
                 ws.arena.path_into(best_id, &mut ws.path_buf);
                 let final_pd = greedy_tail(
                     prep,
+                    EvalStrategy::Gemm,
                     &mut ws.path_buf,
                     best_pd,
                     &mut d.stats,

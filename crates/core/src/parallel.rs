@@ -38,8 +38,9 @@
 
 use crate::arena::SearchWorkspace;
 use crate::detector::{Detection, DetectionStats, SearchQuality};
+use crate::dfs::{Dfs, DfsSink, DfsTable, DfsWalk, DynSink, NoSink};
 use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
-use crate::pd::{eval_children, sorted_children_into, EvalStrategy, PdScratch};
+use crate::pd::{greedy_tail, EvalStrategy};
 use crate::preprocess::{ColumnOrdering, Prepared};
 use crate::radius::InitialRadius;
 use crate::trace::{span_clock, span_ns, Phase, SearchTelemetry, TraceSink};
@@ -432,25 +433,26 @@ impl<F: Float> ParallelSphereDecoder<F> {
         loop {
             rt.roots.clear();
             rt.root_paths.clear();
-            {
-                let ws = &mut *ws;
-                let mut enumerate = Enumerate {
-                    prep,
-                    scratch: &mut ws.scratch,
-                    stats: &mut out.stats,
-                    path: &mut ws.path,
-                    sort_bufs: &mut ws.sort_bufs,
-                    radius: F::from_f64(r2),
-                    split,
-                    eval,
-                    trace: trace.as_deref_mut(),
-                    roots: &mut rt.roots,
-                    root_paths: &mut rt.root_paths,
-                    budget: shared_budget,
-                    truncated: false,
-                };
-                enumerate.descend(F::ZERO);
-            }
+            let mut splitter = Splitter {
+                radius: F::from_f64(r2),
+                roots: &mut rt.roots,
+                root_paths: &mut rt.root_paths,
+                budget: shared_budget,
+            };
+            // A tripped budget is read back from the shared ledger below.
+            let (table, stats) = (&mut ws.dfs, &mut out.stats);
+            match trace.as_deref_mut() {
+                Some(t) => sorted_dfs(prep, eval, split, table, stats, DynSink(t)).walk(
+                    &[],
+                    F::ZERO,
+                    &mut splitter,
+                ),
+                None => sorted_dfs(prep, eval, split, table, stats, NoSink).walk(
+                    &[],
+                    F::ZERO,
+                    &mut splitter,
+                ),
+            };
 
             if !rt.roots.is_empty() {
                 // Most promising subtrees first: the earlier a tight leaf
@@ -476,19 +478,28 @@ impl<F: Float> ParallelSphereDecoder<F> {
                         return;
                     }
                     let mut slot = slots[ctx.index()].lock().unwrap();
-                    worker_search(
-                        prep,
-                        eval,
-                        split,
+                    let slot = &mut *slot;
+                    slot.ws.prepare(p, m);
+                    let mut worker = Worker {
                         shared,
+                        best_pd: &mut slot.best_pd,
+                        best_path: &mut slot.best_path,
+                        budget: shared_budget,
                         roots,
                         root_paths,
-                        ctx.index(),
-                        active,
-                        &mut slot,
-                        tracing,
-                        shared_budget,
-                    );
+                        split,
+                    };
+                    let (table, stats, lane) = (&mut slot.ws.dfs, &mut slot.stats, ctx.index());
+                    if tracing {
+                        let sink = DynSink(&mut slot.telemetry);
+                        worker.search(sorted_dfs(prep, eval, m, table, stats, sink), lane, active);
+                    } else {
+                        worker.search(
+                            sorted_dfs(prep, eval, m, table, stats, NoSink),
+                            lane,
+                            active,
+                        );
+                    }
                 });
 
                 let found = rt.slots.iter().any(|s| s.lock().unwrap().best_pd.is_some());
@@ -549,15 +560,18 @@ impl<F: Float> ParallelSphereDecoder<F> {
                 // exits solely through `found`): no lane landed a leaf,
                 // so complete one greedily on the calling thread.
                 debug_assert!(tripped, "leafless exit without a tripped budget");
-                let pd = crate::dfs::greedy_leaf(
+                ws.best_path.clear();
+                let pd = greedy_tail(
                     prep,
                     eval,
-                    &mut ws.scratch,
-                    &mut out.stats,
-                    &mut ws.path,
                     &mut ws.best_path,
+                    F::ZERO,
+                    &mut out.stats,
+                    &mut ws.scratch,
                 )
                 .to_f64();
+                out.stats.leaves_reached += 1;
+                out.stats.radius_updates += 1;
                 if let Some(t) = trace.as_deref_mut() {
                     for slot in &rt.slots {
                         let slot = slot.lock().unwrap();
@@ -616,232 +630,108 @@ fn replay_telemetry(t: &mut dyn TraceSink, rec: &SearchTelemetry, final_radius_s
     }
 }
 
-/// Walk the top `split` levels in Schnorr–Euchner order on the calling
-/// thread, pruning against the (fixed) initial radius and pushing every
-/// surviving depth-`split` prefix as a subtree root.
-struct Enumerate<'a, F: Float> {
+/// A sorted depth-first search over `table` whose leaves sit at `leaves`.
+fn sorted_dfs<'a, F: Float, S: DfsSink>(
     prep: &'a Prepared<F>,
-    scratch: &'a mut PdScratch<F>,
-    stats: &'a mut DetectionStats,
-    path: &'a mut Vec<usize>,
-    sort_bufs: &'a mut [Vec<(F, usize)>],
-    radius: F,
-    split: usize,
     eval: EvalStrategy,
-    trace: Option<&'a mut (dyn TraceSink + 'static)>,
+    leaves: usize,
+    table: &'a mut DfsTable<F>,
+    stats: &'a mut DetectionStats,
+    sink: S,
+) -> Dfs<'a, F, S> {
+    Dfs {
+        prep,
+        eval,
+        sort: true,
+        leaves,
+        table,
+        stats,
+        sink,
+    }
+}
+
+/// The enumeration walk: the top `split` levels in Schnorr–Euchner order
+/// on the calling thread, pruning against the (fixed) initial radius and
+/// recording every surviving depth-`split` prefix as a subtree root.
+struct Splitter<'a, F: Float> {
+    radius: F,
     roots: &'a mut Vec<RootRef<F>>,
     root_paths: &'a mut Vec<usize>,
     /// Spend ledger of a budgeted decode; `None` when unlimited.
     budget: Option<&'a SharedBudget>,
-    /// Latched once the budget trips; unwinds the enumeration.
-    truncated: bool,
 }
 
-impl<F: Float> Enumerate<'_, F> {
-    fn descend(&mut self, pd: F) {
-        let depth = self.path.len();
-        let p = self.prep.order;
-        if let Some(b) = self.budget {
-            if b.check_and_charge(p as u64) {
-                self.truncated = true;
-                return;
-            }
-        }
-        self.stats.nodes_expanded += 1;
-        let t0 = span_clock(self.trace.is_some());
-        self.stats.flops += eval_children(self.prep, self.path, self.eval, self.scratch);
-        if let Some(t) = self.trace.as_mut() {
-            t.on_phase(Phase::Expand, span_ns(t0));
-            t.on_expand(depth, 1, p as u64);
-        }
-        self.stats.nodes_generated += p as u64;
-        self.stats.per_level_generated[depth] += p as u64;
+impl<F: Float> DfsWalk<F> for Splitter<'_, F> {
+    fn tripped(&mut self, _stats: &DetectionStats, children: u64) -> bool {
+        self.budget.is_some_and(|b| b.check_and_charge(children))
+    }
 
-        let mut children = std::mem::take(&mut self.sort_bufs[depth]);
-        let t0 = span_clock(self.trace.is_some());
-        sorted_children_into(&self.scratch.increments, &mut children);
-        if let Some(t) = self.trace.as_mut() {
-            t.on_phase(Phase::Sort, span_ns(t0));
-            t.on_sort(depth, p as u64);
-        }
-        for (rank, &(inc, child)) in children.iter().enumerate() {
-            if self.truncated {
-                break;
-            }
-            let child_pd = pd + inc;
-            if !(child_pd < self.radius) {
-                // Sorted order ⇒ every remaining sibling is pruned too.
-                self.stats.nodes_pruned += (p - rank) as u64;
-                if let Some(t) = self.trace.as_mut() {
-                    t.on_prune(depth, (p - rank) as u64);
-                }
-                break;
-            }
-            if let Some(t) = self.trace.as_mut() {
-                t.on_accept(depth, 1);
-            }
-            if depth + 1 == self.split {
-                self.roots.push(RootRef {
-                    pd: child_pd,
-                    off: self.root_paths.len() as u32,
-                });
-                self.root_paths.extend_from_slice(self.path);
-                self.root_paths.push(child);
-            } else {
-                self.path.push(child);
-                self.descend(child_pd);
-                self.path.pop();
-            }
-        }
-        self.sort_bufs[depth] = children;
+    fn admits(&self, pd: F) -> bool {
+        pd < self.radius
+    }
+
+    fn leaf<S: DfsSink>(&mut self, path: &[usize], pd: F, _: &mut DetectionStats, _: &mut S) {
+        let off = self.root_paths.len() as u32;
+        self.roots.push(RootRef { pd, off });
+        self.root_paths.extend_from_slice(path);
     }
 }
 
-/// One worker's turn of a broadcast: run the sorted depth-first search
-/// over every subtree dealt to `windex`, pruning through the shared
-/// radius.
-#[allow(clippy::too_many_arguments)]
-fn worker_search<F: Float>(
-    prep: &Prepared<F>,
-    eval: EvalStrategy,
-    split: usize,
-    shared: &AtomicF64Min,
-    roots: &[RootRef<F>],
-    root_paths: &[usize],
-    windex: usize,
-    nworkers: usize,
-    slot: &mut WorkerSlot<F>,
-    tracing: bool,
-    budget: Option<&SharedBudget>,
-) {
-    let m = prep.n_tx;
-    let p = prep.order;
-    slot.ws.prepare(p, m);
-    let slot = &mut *slot;
-    let mut search = WorkerSearch {
-        prep,
-        scratch: &mut slot.ws.scratch,
-        stats: &mut slot.stats,
-        path: &mut slot.ws.path,
-        sort_bufs: &mut slot.ws.sort_bufs,
-        best_pd: &mut slot.best_pd,
-        best_path: &mut slot.best_path,
-        shared,
-        eval,
-        budget,
-        truncated: false,
-        trace: if tracing {
-            Some(&mut slot.telemetry)
-        } else {
-            None
-        },
-    };
-    let mut i = windex;
-    while i < roots.len() {
-        if search.truncated {
-            break;
-        }
-        let root = roots[i];
-        i += nworkers;
-        // A subtree whose root already falls outside everyone's sphere
-        // is dead; its children were never generated, so skipping keeps
-        // the per-level accounting consistent.
-        if !(root.pd.to_f64() < shared.load()) {
-            continue;
-        }
-        let path = &root_paths[root.off as usize..root.off as usize + split];
-        search.path.clear();
-        search.path.extend_from_slice(path);
-        search.descend(root.pd);
-    }
-}
-
-/// One worker's depth-first search below a subtree root — the sequential
-/// [`Search`](crate::dfs) loop with the incumbent radius replaced by the
-/// shared atomic.
-struct WorkerSearch<'a, F: Float> {
-    prep: &'a Prepared<F>,
-    scratch: &'a mut PdScratch<F>,
-    stats: &'a mut DetectionStats,
-    path: &'a mut Vec<usize>,
-    sort_bufs: &'a mut [Vec<(F, usize)>],
+/// One worker's walk over the subtrees dealt to it: the sequential
+/// decoder's search with the incumbent radius replaced by the shared
+/// atomic and the budget by the shared ledger.
+struct Worker<'a, F: Float> {
+    shared: &'a AtomicF64Min,
     best_pd: &'a mut Option<f64>,
     best_path: &'a mut Vec<usize>,
-    shared: &'a AtomicF64Min,
-    eval: EvalStrategy,
     /// Spend ledger of a budgeted decode; `None` when unlimited.
     budget: Option<&'a SharedBudget>,
-    /// Latched once the budget trips; unwinds this lane's recursion.
-    truncated: bool,
-    trace: Option<&'a mut SearchTelemetry>,
+    roots: &'a [RootRef<F>],
+    root_paths: &'a [usize],
+    split: usize,
 }
 
-impl<F: Float> WorkerSearch<'_, F> {
-    fn descend(&mut self, pd: F) {
-        let depth = self.path.len();
-        let m = self.prep.n_tx;
-        let p = self.prep.order;
-        if let Some(b) = self.budget {
-            if b.check_and_charge(p as u64) {
-                self.truncated = true;
-                return;
+impl<F: Float> Worker<'_, F> {
+    /// Search every `lanes`-th subtree root from `lane` on.
+    fn search<S: DfsSink>(&mut self, mut dfs: Dfs<'_, F, S>, lane: usize, lanes: usize) {
+        let (roots, root_paths) = (self.roots, self.root_paths);
+        for root in roots.iter().skip(lane).step_by(lanes) {
+            // A subtree whose root already falls outside everyone's sphere
+            // is dead; its children were never generated, so skipping keeps
+            // the per-level accounting consistent.
+            if !(root.pd.to_f64() < self.shared.load()) {
+                continue;
+            }
+            let path = &root_paths[root.off as usize..][..self.split];
+            if !dfs.walk(path, root.pd, self) {
+                break;
             }
         }
-        self.stats.nodes_expanded += 1;
-        let t0 = span_clock(self.trace.is_some());
-        self.stats.flops += eval_children(self.prep, self.path, self.eval, self.scratch);
-        if let Some(t) = self.trace.as_mut() {
-            t.on_phase(Phase::Expand, span_ns(t0));
-            t.on_expand(depth, 1, p as u64);
-        }
-        self.stats.nodes_generated += p as u64;
-        self.stats.per_level_generated[depth] += p as u64;
+    }
+}
 
-        let mut children = std::mem::take(&mut self.sort_bufs[depth]);
-        let t0 = span_clock(self.trace.is_some());
-        sorted_children_into(&self.scratch.increments, &mut children);
-        if let Some(t) = self.trace.as_mut() {
-            t.on_phase(Phase::Sort, span_ns(t0));
-            t.on_sort(depth, p as u64);
+impl<F: Float> DfsWalk<F> for Worker<'_, F> {
+    fn tripped(&mut self, _stats: &DetectionStats, children: u64) -> bool {
+        self.budget.is_some_and(|b| b.check_and_charge(children))
+    }
+
+    /// Prune against everyone's best, not just our own.
+    fn admits(&self, pd: F) -> bool {
+        pd.to_f64() < self.shared.load()
+    }
+
+    fn leaf<S: DfsSink>(&mut self, path: &[usize], pd: F, st: &mut DetectionStats, sink: &mut S) {
+        let leaf_pd = pd.to_f64();
+        st.leaves_reached += 1;
+        if self.shared.try_lower(leaf_pd) {
+            st.radius_updates += 1;
+            *self.best_pd = Some(leaf_pd);
+            let t0 = span_clock(S::ACTIVE);
+            self.best_path.clear();
+            self.best_path.extend_from_slice(path);
+            sink.on_phase(Phase::Leaf, span_ns(t0));
+            sink.on_radius_update(path.len() - 1, leaf_pd);
         }
-        for (rank, &(inc, child)) in children.iter().enumerate() {
-            if self.truncated {
-                break;
-            }
-            let child_pd = pd + inc;
-            // Prune against everyone's best, not just our own.
-            if !(child_pd.to_f64() < self.shared.load()) {
-                self.stats.nodes_pruned += (p - rank) as u64;
-                if let Some(t) = self.trace.as_mut() {
-                    t.on_prune(depth, (p - rank) as u64);
-                }
-                break;
-            }
-            if let Some(t) = self.trace.as_mut() {
-                t.on_accept(depth, 1);
-            }
-            if depth + 1 == m {
-                let leaf_pd = child_pd.to_f64();
-                self.stats.leaves_reached += 1;
-                if self.shared.try_lower(leaf_pd) {
-                    self.stats.radius_updates += 1;
-                    *self.best_pd = Some(leaf_pd);
-                    let t0 = span_clock(self.trace.is_some());
-                    self.best_path.clear();
-                    self.best_path.extend_from_slice(self.path);
-                    self.best_path.push(child);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.on_phase(Phase::Leaf, span_ns(t0));
-                        t.on_radius_update(depth, leaf_pd);
-                    }
-                }
-            } else {
-                self.path.push(child);
-                self.descend(child_pd);
-                self.path.pop();
-            }
-        }
-        self.sort_bufs[depth] = children;
     }
 }
 

@@ -145,7 +145,13 @@ pub fn eval_children<F: Float>(
     for off in 0..depth {
         scratch.suffix.push(prep.points[path[depth - 1 - off]]);
     }
-    eval_suffix(prep, depth, strategy, scratch)
+    eval_suffix(
+        prep,
+        depth,
+        strategy,
+        &scratch.suffix,
+        &mut scratch.increments,
+    )
 }
 
 /// [`eval_children`] for an arena node — the suffix is read straight off
@@ -165,22 +171,30 @@ pub fn eval_children_from_arena<F: Float>(
     for sym in arena.ancestry(node) {
         scratch.suffix.push(prep.points[sym]);
     }
-    eval_suffix(prep, depth, strategy, scratch)
+    eval_suffix(
+        prep,
+        depth,
+        strategy,
+        &scratch.suffix,
+        &mut scratch.increments,
+    )
 }
 
-/// Shared core of the scalar entry points: `scratch.suffix` already holds
-/// `s_{i+1} … s_{M−1}` (deepest-first); evaluate all `P` increments.
+/// Shared core of the scalar entry points: `suffix` holds
+/// `s_{i+1} … s_{M−1}` (deepest-first); evaluate all `P` increments into
+/// `increments`.
 fn eval_suffix<F: Float>(
     prep: &Prepared<F>,
     depth: usize,
     strategy: EvalStrategy,
-    scratch: &mut PdScratch<F>,
+    suffix: &[Complex<F>],
+    increments: &mut [F],
 ) -> u64 {
     let m = prep.n_tx;
     let i = m - 1 - depth; // antenna index fixed by this expansion
     let p = prep.order;
-    debug_assert_eq!(scratch.increments.len(), p);
-    debug_assert_eq!(scratch.suffix.len(), depth);
+    debug_assert_eq!(increments.len(), p);
+    debug_assert_eq!(suffix.len(), depth);
 
     let ybar_i = prep.ybar[i];
     let r_row = prep.r.row(i);
@@ -190,10 +204,10 @@ fn eval_suffix<F: Float>(
         EvalStrategy::Gemm => {
             // One (1 × k+1) · (k+1 × P) product: for every child, the full
             // suffix sum is recomputed inside the dense kernel.
-            for (c, inc) in scratch.increments.iter_mut().enumerate() {
+            for (c, inc) in increments.iter_mut().enumerate() {
                 let mut e = Complex::zero();
                 Complex::mul_acc(&mut e, r_ii, prep.points[c]);
-                for (off, s) in scratch.suffix.iter().enumerate() {
+                for (off, s) in suffix.iter().enumerate() {
                     let j = i + 1 + off;
                     Complex::mul_acc(&mut e, r_row[j], *s);
                 }
@@ -206,19 +220,128 @@ fn eval_suffix<F: Float>(
         EvalStrategy::Incremental => {
             // Suffix sum once …
             let mut b = ybar_i;
-            for (off, s) in scratch.suffix.iter().enumerate() {
+            for (off, s) in suffix.iter().enumerate() {
                 let j = i + 1 + off;
                 let delta = r_row[j] * *s;
                 b -= delta;
             }
             // … then one MAC per child.
-            for (c, inc) in scratch.increments.iter_mut().enumerate() {
+            for (c, inc) in increments.iter_mut().enumerate() {
                 let e = r_ii * prep.points[c];
                 *inc = (b - e).norm_sqr();
             }
             8 * depth as u64 + (p as u64) * 13
         }
     }
+}
+
+/// The ordered-expansion kernel of the depth-first searches, step one:
+/// the `P` child increments of a depth-`depth` node, natural order.
+/// `sym` holds the path's symbols by antenna, so the node's suffix
+/// `s_{i+1} … s_{M−1}` is `sym[i+1..M]`. `LANES` is the order when it is
+/// 2, 4 or 16 (else `0`): then [`EvalStrategy::Gemm`] runs in lanes
+/// ([`gemm_lanes`]), every other case runs the scalar loop of
+/// [`eval_children`] — same bits, same flops charged.
+pub(crate) fn eval_lanes<F: Float, const LANES: usize>(
+    prep: &Prepared<F>,
+    depth: usize,
+    sym: &[Complex<F>],
+    strategy: EvalStrategy,
+    increments: &mut [F],
+) -> u64 {
+    let suffix = &sym[prep.n_tx - depth..prep.n_tx];
+    if LANES > 0 && strategy == EvalStrategy::Gemm {
+        gemm_lanes::<F, LANES>(prep, suffix, as_lanes(increments))
+    } else {
+        eval_suffix(prep, depth, strategy, suffix, increments)
+    }
+}
+
+#[inline(always)]
+fn as_lanes<T, const P: usize>(s: &mut [T]) -> &mut [T; P] {
+    s.try_into().expect("lane count is the constellation order")
+}
+
+/// [`EvalStrategy::Gemm`] with the `P` children in structure-of-arrays
+/// lanes: every suffix term updates all lanes at once, and each lane runs
+/// its child's exact [`Complex::mul_acc`] sequence — the diagonal
+/// `r_ii·ω_c` from zero, then the suffix left to right — so its increment
+/// is bit-identical to the scalar loop's.
+#[inline(always)]
+fn gemm_lanes<F: Float, const P: usize>(
+    prep: &Prepared<F>,
+    suffix: &[Complex<F>],
+    increments: &mut [F; P],
+) -> u64 {
+    let depth = suffix.len();
+    let i = prep.n_tx - 1 - depth;
+    let r_row = &prep.r.row(i)[i..];
+    let (mut re, mut im) = ([F::ZERO; P], [F::ZERO; P]);
+    let mut mul_acc = |c: usize, a, b| {
+        let mut e = Complex::new(re[c], im[c]);
+        Complex::mul_acc(&mut e, a, b);
+        (re[c], im[c]) = (e.re, e.im);
+    };
+    for (c, &point) in prep.points[..P].iter().enumerate() {
+        mul_acc(c, r_row[0], point);
+    }
+    for (&r, &s) in r_row[1..].iter().zip(suffix) {
+        for c in 0..P {
+            mul_acc(c, r, s);
+        }
+    }
+    for (c, inc) in increments.iter_mut().enumerate() {
+        *inc = (prep.ybar[i] - Complex::new(re[c], im[c])).norm_sqr();
+    }
+    (P as u64) * (8 * (depth as u64 + 1) + 5)
+}
+
+/// The ordered-expansion kernel, step two — the software sort unit
+/// (Fig. 3): `increments`' children into `inc`/`child` in ascending
+/// `(increment, index)` order, increments compared by `total_cmp`, so a
+/// NaN lands where [`sorted_children`] puts it (a positive NaN last). With
+/// a lane width each child's rank counts the children ordering before it
+/// — `P²` branch-free compares and a scatter; `LANES == 0` runs a
+/// comparison sort. The pair order is total, so both give the one order
+/// [`sorted_children`] gives.
+pub(crate) fn order_lanes<F: Float, const LANES: usize>(
+    increments: &[F],
+    inc: &mut [F],
+    child: &mut [u32],
+) {
+    if LANES > 0 {
+        return rank_lanes::<F, LANES>(increments, as_lanes(inc), as_lanes(child));
+    }
+    child.iter_mut().zip(0..).for_each(|(slot, c)| *slot = c);
+    child.sort_unstable_by_key(|&c| (total_key(increments[c as usize]), c));
+    for (slot, &c) in inc.iter_mut().zip(child.iter()) {
+        *slot = increments[c as usize];
+    }
+}
+
+#[inline(always)]
+fn rank_lanes<F: Float, const P: usize>(increments: &[F], inc: &mut [F; P], child: &mut [u32; P]) {
+    let key: [i64; P] = std::array::from_fn(|c| total_key(increments[c]));
+    // rank[c] counts the children j with (key[j], j) < (key[c], c); the
+    // inner loop runs across all lanes c at once.
+    let mut rank = [0usize; P];
+    for j in 0..P {
+        for c in 0..P {
+            rank[c] += ((key[j] < key[c]) | ((key[j] == key[c]) & (j < c))) as usize;
+        }
+    }
+    for c in 0..P {
+        inc[rank[c]] = increments[c];
+        child[rank[c]] = c as u32;
+    }
+}
+
+/// The integer image of `f64::total_cmp`: `total_key(a) < total_key(b)`
+/// exactly when `a.to_f64().total_cmp(&b.to_f64())` is `Less`.
+#[inline(always)]
+fn total_key<F: Float>(x: F) -> i64 {
+    let bits = x.to_f64().to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Evaluate the children of a whole *level* of arena nodes with batched
@@ -253,95 +376,9 @@ pub fn eval_children_batch<F: Float>(
     algo: GemmAlgo,
     scratch: &mut PdScratch<F>,
 ) -> u64 {
-    let m = prep.n_tx;
-    let p = prep.order;
     assert!(!nodes.is_empty(), "empty batch");
-    let depth = arena.depth(nodes[0]);
-    assert!(depth < m, "cannot expand a leaf");
-    let k1 = depth + 1;
-    let a_row = &prep.row_blocks[depth];
-    debug_assert_eq!(a_row.shape(), (1, k1));
-    let ybar_i = prep.ybar[m - 1 - depth];
-    let r_ii = a_row.as_slice()[0];
-
-    // The diagonal term r_ii·ω_c is the same for every node of the level:
-    // compute the P seed products once (the scalar loop's first
-    // `mul_acc` from zero, so seeding E with them and accumulating the
-    // suffix rows is bit-identical to the full per-node product).
-    scratch.seeds.clear();
-    for &point in prep.points.iter() {
-        let mut e = Complex::zero();
-        Complex::mul_acc(&mut e, r_ii, point);
-        scratch.seeds.push(e);
-    }
-    // The level's suffix coefficients A' = R[i, i+1..M].
-    scratch.a_tail.resize_for_overwrite(1, depth);
-    scratch
-        .a_tail
-        .as_mut_slice()
-        .copy_from_slice(&a_row.as_slice()[1..]);
-
-    // Grow-only resize: every element is overwritten chunk by chunk below.
-    if scratch.batch_increments.len() != nodes.len() * p {
-        scratch.batch_increments.clear();
-        scratch.batch_increments.resize(nodes.len() * p, F::ZERO);
-    }
-
-    for (chunk_idx, chunk) in nodes.chunks(MAX_BATCH).enumerate() {
-        let b = chunk.len();
-        let n = b * p;
-        // Every S entry and every E entry is written below, so neither
-        // operand pays `resize`'s zero-fill pass.
-        scratch.s_mat.resize_for_overwrite(depth, b);
-        scratch.e_mat.resize_for_overwrite(1, n);
-        // Gather each node's suffix (ancestry is deepest-first = the PD
-        // suffix order) straight into the compressed operand: row `off`,
-        // column `bi` holds node `bi`'s fixed symbol for suffix level
-        // `off`, implicitly spanning the node's P child columns.
-        let s = scratch.s_mat.as_mut_slice();
-        for (bi, &node) in chunk.iter().enumerate() {
-            debug_assert_eq!(arena.depth(node), depth, "batch must be level-synchronous");
-            for (off, sym) in arena.ancestry(node).enumerate() {
-                s[off * b + bi] = prep.points[sym];
-            }
-        }
-        // Seed E with the diagonal products, tiled across the batch.
-        for tile in scratch.e_mat.as_mut_slice().chunks_exact_mut(p) {
-            tile.copy_from_slice(&scratch.seeds);
-        }
-        // One accumulate-GEMM per level: E += A' × (S ⊗ 1ᵀ_P). At the
-        // root (depth 0) the operands are empty and E is already the
-        // answer. `Naive` materializes the width-P operand and runs the
-        // reference kernel — the oracle formulation the fast paths are
-        // tested against; `Blocked`/`Parallel` consume the compressed
-        // operand directly.
-        match algo {
-            GemmAlgo::Naive => {
-                scratch.s_wide.resize_for_overwrite(depth, n);
-                let sw = scratch.s_wide.as_mut_slice();
-                let sv = scratch.s_mat.as_slice();
-                for off in 0..depth {
-                    sd_math::fill_tiles(
-                        &mut sw[off * n..(off + 1) * n],
-                        &sv[off * b..(off + 1) * b],
-                        p,
-                    );
-                }
-                gemm_acc_into(&scratch.a_tail, &scratch.s_wide, &mut scratch.e_mat, algo);
-            }
-            GemmAlgo::Blocked | GemmAlgo::Parallel => {
-                gemm_broadcast_acc_into(&scratch.a_tail, &scratch.s_mat, p, &mut scratch.e_mat);
-            }
-        }
-        let e = scratch.e_mat.as_slice();
-        let base = chunk_idx * MAX_BATCH * p;
-        let out = &mut scratch.batch_increments[base..base + n];
-        for (o, &ev) in out.iter_mut().zip(e) {
-            *o = (ybar_i - ev).norm_sqr();
-        }
-    }
-
-    (nodes.len() as u64) * (p as u64) * (8 * (depth as u64 + 1) + 5)
+    let ybar_i = prep.ybar[prep.n_tx - 1 - arena.depth(nodes[0])];
+    eval_batch(prep, arena, nodes, MAX_BATCH, algo, scratch, |_| ybar_i)
 }
 
 /// Cross-subcarrier fused form of [`eval_children_batch`]: one GEMM batch
@@ -378,57 +415,93 @@ pub fn eval_children_batch_fused<F: Float>(
     algo: GemmAlgo,
     scratch: &mut PdScratch<F>,
 ) -> u64 {
-    let m = prep.n_tx;
-    let p = prep.order;
-    assert!(!nodes.is_empty(), "empty batch");
     assert!(stride > 0, "empty per-subcarrier frontier");
     assert_eq!(
         nodes.len(),
         ybars.len() * stride,
         "fused batch must stack equal frontiers"
     );
+    // Whole subcarriers per chunk: ⌊MAX_BATCH / stride⌋ of them, floored
+    // at one so oversized frontiers still fuse (one block per call).
+    let chunk = (MAX_BATCH / stride).max(1) * stride;
+    eval_batch(prep, arena, nodes, chunk, algo, scratch, |bi| {
+        ybars[bi / stride]
+    })
+}
+
+/// The shared body of [`eval_children_batch`] and
+/// [`eval_children_batch_fused`]: one accumulate-GEMM per chunk of at
+/// most `chunk` nodes, then node `bi`'s `P` columns subtracted from
+/// `ybar_of(bi)`.
+fn eval_batch<F: Float>(
+    prep: &Prepared<F>,
+    arena: &NodeArena,
+    nodes: &[u32],
+    chunk: usize,
+    algo: GemmAlgo,
+    scratch: &mut PdScratch<F>,
+    ybar_of: impl Fn(usize) -> Complex<F>,
+) -> u64 {
+    let m = prep.n_tx;
+    let p = prep.order;
+    assert!(!nodes.is_empty(), "empty batch");
     let depth = arena.depth(nodes[0]);
     assert!(depth < m, "cannot expand a leaf");
     let a_row = &prep.row_blocks[depth];
     debug_assert_eq!(a_row.shape(), (1, depth + 1));
     let r_ii = a_row.as_slice()[0];
 
+    // The diagonal term r_ii·ω_c is the same for every node of the level:
+    // compute the P seed products once (the scalar loop's first
+    // `mul_acc` from zero, so seeding E with them and accumulating the
+    // suffix rows is bit-identical to the full per-node product).
     scratch.seeds.clear();
     for &point in prep.points.iter() {
         let mut e = Complex::zero();
         Complex::mul_acc(&mut e, r_ii, point);
         scratch.seeds.push(e);
     }
+    // The level's suffix coefficients A' = R[i, i+1..M].
     scratch.a_tail.resize_for_overwrite(1, depth);
     scratch
         .a_tail
         .as_mut_slice()
         .copy_from_slice(&a_row.as_slice()[1..]);
 
+    // Grow-only resize: every element is overwritten chunk by chunk below.
     if scratch.batch_increments.len() != nodes.len() * p {
         scratch.batch_increments.clear();
         scratch.batch_increments.resize(nodes.len() * p, F::ZERO);
     }
 
-    // Whole subcarriers per chunk: ⌊MAX_BATCH / stride⌋ of them, floored
-    // at one so oversized frontiers still fuse (one block per call).
-    let sc_per_chunk = (MAX_BATCH / stride).max(1);
-    let chunk_nodes = sc_per_chunk * stride;
-    for (chunk_idx, chunk) in nodes.chunks(chunk_nodes).enumerate() {
-        let b = chunk.len();
+    for (chunk_idx, chunk_ids) in nodes.chunks(chunk).enumerate() {
+        let b = chunk_ids.len();
         let n = b * p;
+        // Every S entry and every E entry is written below, so neither
+        // operand pays `resize`'s zero-fill pass.
         scratch.s_mat.resize_for_overwrite(depth, b);
         scratch.e_mat.resize_for_overwrite(1, n);
+        // Gather each node's suffix (ancestry is deepest-first = the PD
+        // suffix order) straight into the compressed operand: row `off`,
+        // column `bi` holds node `bi`'s fixed symbol for suffix level
+        // `off`, implicitly spanning the node's P child columns.
         let s = scratch.s_mat.as_mut_slice();
-        for (bi, &node) in chunk.iter().enumerate() {
+        for (bi, &node) in chunk_ids.iter().enumerate() {
             debug_assert_eq!(arena.depth(node), depth, "batch must be level-synchronous");
             for (off, sym) in arena.ancestry(node).enumerate() {
                 s[off * b + bi] = prep.points[sym];
             }
         }
+        // Seed E with the diagonal products, tiled across the batch.
         for tile in scratch.e_mat.as_mut_slice().chunks_exact_mut(p) {
             tile.copy_from_slice(&scratch.seeds);
         }
+        // One accumulate-GEMM per level: E += A' × (S ⊗ 1ᵀ_P). At the
+        // root (depth 0) the operands are empty and E is already the
+        // answer. `Naive` materializes the width-P operand and runs the
+        // reference kernel — the oracle formulation the fast paths are
+        // tested against; `Blocked`/`Parallel` consume the compressed
+        // operand directly.
         match algo {
             GemmAlgo::Naive => {
                 scratch.s_wide.resize_for_overwrite(depth, n);
@@ -444,22 +517,15 @@ pub fn eval_children_batch_fused<F: Float>(
                 gemm_acc_into(&scratch.a_tail, &scratch.s_wide, &mut scratch.e_mat, algo);
             }
             GemmAlgo::Blocked | GemmAlgo::Parallel => {
-                sd_math::gemm_broadcast_acc_stacked_into(
-                    &scratch.a_tail,
-                    &scratch.s_mat,
-                    p,
-                    b / stride,
-                    &mut scratch.e_mat,
-                );
+                gemm_broadcast_acc_into(&scratch.a_tail, &scratch.s_mat, p, &mut scratch.e_mat);
             }
         }
         let e = scratch.e_mat.as_slice();
-        let base = chunk_idx * chunk_nodes * p;
-        let out = &mut scratch.batch_increments[base..base + n];
-        for (local_bi, node_out) in out.chunks_exact_mut(p).enumerate() {
-            let sc = (chunk_idx * chunk_nodes + local_bi) / stride;
-            let ybar_i = ybars[sc];
-            for (o, &ev) in node_out.iter_mut().zip(&e[local_bi * p..]) {
+        let base = chunk_idx * chunk;
+        let out = &mut scratch.batch_increments[base * p..base * p + n];
+        for (bi, (node_out, node_e)) in out.chunks_exact_mut(p).zip(e.chunks_exact(p)).enumerate() {
+            let ybar_i = ybar_of(base + bi);
+            for (o, &ev) in node_out.iter_mut().zip(node_e) {
                 *o = (ybar_i - ev).norm_sqr();
             }
         }
@@ -473,12 +539,13 @@ pub fn eval_children_batch_fused<F: Float>(
 /// remaining level, charging the search stats as it goes. Returns the
 /// completed leaf's partial distance, starting from `pd0`.
 ///
-/// This is the shared best-so-far finisher of the budget-truncated
-/// breadth-first engines — both the per-subcarrier and the fused block
-/// paths call it, which is what keeps their truncated outputs
-/// bit-identical. Ties take the lowest child index (strict `<` scan).
+/// The one best-so-far finisher of every budget-truncated float search;
+/// the per-subcarrier and fused block paths both call it, which keeps
+/// their truncated outputs bit-identical. Ties take the lowest child
+/// index (strict `<` scan).
 pub(crate) fn greedy_tail<F: Float>(
     prep: &Prepared<F>,
+    eval: EvalStrategy,
     path: &mut Vec<usize>,
     pd0: F,
     stats: &mut crate::detector::DetectionStats,
@@ -488,7 +555,7 @@ pub(crate) fn greedy_tail<F: Float>(
     let p = prep.order;
     let mut pd = pd0;
     for depth in path.len()..m {
-        stats.flops += eval_children(prep, path, EvalStrategy::Gemm, scratch);
+        stats.flops += eval_children(prep, path, eval, scratch);
         stats.nodes_expanded += 1;
         stats.nodes_generated += p as u64;
         stats.per_level_generated[depth] += p as u64;
@@ -506,27 +573,14 @@ pub(crate) fn greedy_tail<F: Float>(
     pd
 }
 
-/// Fill `out` with `(increment, child_index)` pairs in natural child
-/// order, reusing its allocation.
-pub fn children_into<F: Float>(increments: &[F], out: &mut Vec<(F, usize)>) {
-    out.clear();
-    out.extend(increments.iter().copied().enumerate().map(|(i, g)| (g, i)));
-}
-
-/// [`sorted_children`] into a caller-owned buffer — the allocation-free
-/// form the arena searches use. NaN increments (possible in reduced
-/// precision) order last via `total_cmp` instead of panicking.
-pub fn sorted_children_into<F: Float>(increments: &[F], out: &mut Vec<(F, usize)>) {
-    children_into(increments, out);
-    out.sort_unstable_by(|a, b| a.0.to_f64().total_cmp(&b.0.to_f64()).then(a.1.cmp(&b.1)));
-}
-
 /// Sort child indices ascending by increment — the paper's sorted
 /// insertion (Fig. 3) that biases the traversal toward promising leaves.
-/// Returns `(increment, child_index)` pairs.
+/// Returns `(increment, child_index)` pairs. Increments compare by
+/// `total_cmp`, so a NaN (possible in reduced precision) orders instead
+/// of panicking: a positive NaN last, a negative one first.
 pub fn sorted_children<F: Float>(increments: &[F]) -> Vec<(F, usize)> {
-    let mut order = Vec::new();
-    sorted_children_into(increments, &mut order);
+    let mut order: Vec<(F, usize)> = increments.iter().copied().zip(0..).collect();
+    order.sort_unstable_by(|a, b| a.0.to_f64().total_cmp(&b.0.to_f64()).then(a.1.cmp(&b.1)));
     order
 }
 
@@ -777,6 +831,54 @@ mod tests {
         assert_eq!(sorted[0].1, 2);
         assert_eq!(sorted[1].1, 0);
         assert!(sorted[2].0.is_nan());
+    }
+
+    /// The ordered-expansion kernel orders exactly like
+    /// [`sorted_children`]: a NaN last (and a negative NaN first, as
+    /// `total_cmp` has it), ties broken by index — at every lane width
+    /// and through the comparison-sort fallback.
+    #[test]
+    fn lane_kernel_orders_nan_last_and_ties_by_index() {
+        fn order<const LANES: usize>(incs: &[f64]) -> Vec<(f64, usize)> {
+            let mut inc = vec![0.0; incs.len()];
+            let mut child = vec![0u32; incs.len()];
+            order_lanes::<f64, LANES>(incs, &mut inc, &mut child);
+            inc.into_iter()
+                .zip(child.into_iter().map(|c| c as usize))
+                .collect()
+        }
+        fn check<const LANES: usize>(incs: &[f64]) {
+            let got = order::<LANES>(incs);
+            let want = sorted_children(incs);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.0.to_bits(), g.1), (w.0.to_bits(), w.1), "{incs:?}");
+            }
+        }
+        let four = [1.0, f64::NAN, 1.0, 0.5];
+        assert_eq!(
+            order::<4>(&four)
+                .iter()
+                .map(|&(_, c)| c)
+                .collect::<Vec<_>>(),
+            vec![3, 0, 2, 1],
+            "NaN last, the tie between children 0 and 2 broken by index"
+        );
+        check::<2>(&[f64::NAN, 3.0]);
+        check::<2>(&[2.0, 2.0]);
+        check::<4>(&four);
+        check::<4>(&[-f64::NAN, 0.0, -0.0, f64::INFINITY]);
+        let sixteen: Vec<f64> = (0..16)
+            .map(|i| match i % 5 {
+                0 => f64::NAN,
+                1 => 1.5,
+                _ => (i * 7 % 11) as f64,
+            })
+            .collect();
+        check::<16>(&sixteen);
+        // Orders without a lane width take the comparison sort.
+        check::<0>(&sixteen);
+        check::<0>(&[4.0, f64::NAN, 4.0]);
     }
 
     #[test]

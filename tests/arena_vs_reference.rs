@@ -3,7 +3,8 @@
 //! path-cloning implementations preserved in [`sd_core::reference`] —
 //! identical decoded indices and identical `DetectionStats` (node counts,
 //! pruning counts, flops, radii) on random frames, for all four search
-//! variants and both child-evaluation strategies.
+//! variants and both child-evaluation strategies (the DFS also in `f32`
+//! and with restarting finite radii).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,6 +25,37 @@ fn make_frame(n: usize, m: Modulation, snr_db: f64, seed: u64) -> (Constellation
     (c, f)
 }
 
+/// Infinite, or finite enough to force restarts now and then.
+fn initial_radius() -> impl Strategy<Value = InitialRadius> {
+    prop_oneof![
+        Just(InitialRadius::Infinite),
+        Just(InitialRadius::ScaledNoise(0.05)),
+        Just(InitialRadius::ScaledNoise(0.5)),
+    ]
+}
+
+/// The DFS engine against the seed recursion at precision `F`: both
+/// evaluation strategies, identical indices and `DetectionStats`.
+fn dfs_agrees<F: sd_math::Float>(
+    c: &Constellation,
+    frame: &FrameData,
+    radius: InitialRadius,
+    sort: bool,
+) -> Result<(), TestCaseError> {
+    let prep = preprocess::<F>(frame, c);
+    let r2 = radius.resolve(frame.h.rows(), frame.noise_variance);
+    for eval in [EvalStrategy::Gemm, EvalStrategy::Incremental] {
+        let arena = SphereDecoder::<F>::new(c.clone())
+            .with_sorted_children(sort)
+            .with_eval(eval)
+            .detect_prepared(&prep, r2);
+        let seed_impl = dfs_reference(&prep, r2, eval, sort);
+        prop_assert_eq!(&arena.indices, &seed_impl.indices);
+        prop_assert_eq!(&arena.stats, &seed_impl.stats);
+    }
+    Ok(())
+}
+
 fn modulation() -> impl Strategy<Value = Modulation> {
     prop_oneof![
         Just(Modulation::Bpsk),
@@ -35,7 +67,8 @@ fn modulation() -> impl Strategy<Value = Modulation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Sorted and plain DFS, both eval strategies.
+    /// Sorted and plain DFS, both eval strategies, both precisions, with
+    /// a finite radius sometimes forcing restarts.
     #[test]
     fn dfs_matches_reference(
         n in 2usize..7,
@@ -43,19 +76,27 @@ proptest! {
         snr_db in 2.0f64..20.0,
         seed in any::<u64>(),
         sort in any::<bool>(),
+        radius in initial_radius(),
     ) {
         prop_assume!(m.order().pow(n as u32) <= 1 << 14);
         let (c, frame) = make_frame(n, m, snr_db, seed);
-        let prep = preprocess::<f64>(&frame, &c);
-        for eval in [EvalStrategy::Gemm, EvalStrategy::Incremental] {
-            let arena = SphereDecoder::<f64>::new(c.clone())
-                .with_sorted_children(sort)
-                .with_eval(eval)
-                .detect_prepared(&prep, f64::INFINITY);
-            let seed_impl = dfs_reference(&prep, f64::INFINITY, eval, sort);
-            prop_assert_eq!(&arena.indices, &seed_impl.indices);
-            prop_assert_eq!(&arena.stats, &seed_impl.stats);
-        }
+        dfs_agrees::<f64>(&c, &frame, radius, sort)?;
+        dfs_agrees::<f32>(&c, &frame, radius, sort)?;
+    }
+
+    /// The served shape: QAM4 at 8–10 antennas (`iid8`, `grid8_*`), where
+    /// the 4-lane kernel runs at every level of the tree.
+    #[test]
+    fn dfs_matches_reference_at_served_shape(
+        n in 8usize..11,
+        snr_db in 4.0f64..20.0,
+        seed in any::<u64>(),
+        sort in any::<bool>(),
+        radius in initial_radius(),
+    ) {
+        let (c, frame) = make_frame(n, Modulation::Qam4, snr_db, seed);
+        dfs_agrees::<f64>(&c, &frame, radius, sort)?;
+        dfs_agrees::<f32>(&c, &frame, radius, sort)?;
     }
 
     /// Globally best-first, both eval strategies, with a finite radius

@@ -10,8 +10,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sd_core::{
-    BestFirstSd, BfsGemmSd, FixedComplexitySd, InitialRadius, KBestSd, ParallelSphereDecoder,
-    Phase, PreparedDetector, SearchWorkspace, SphereDecoder,
+    BestFirstSd, BfsGemmSd, DecodeBudget, Detection, EvalStrategy, FixedComplexitySd,
+    InitialRadius, KBestSd, ParallelSphereDecoder, Phase, PreparedDetector, SearchWorkspace,
+    SphereDecoder,
 };
 use sd_wireless::{noise_variance, Constellation, FrameData, Modulation};
 
@@ -151,6 +152,69 @@ fn parallel_dfs_with_restarts_reconciles_with_stats() {
         &frames,
         "parallel restarts",
     );
+}
+
+/// Installing a recorder changes nothing about the decode: the traced and
+/// untraced monomorphizations of the depth-first loop return the same
+/// `Detection` — indices, every stats field, metric bits — sorted and
+/// plain, both evaluation strategies, with restarts and with budgets
+/// that trip (including the greedy completion of a zero budget).
+#[test]
+fn traced_decode_equals_untraced() {
+    let (c, frames) = frames(6, Modulation::Qam4, 6.0, 12, 914);
+    let restarts = InitialRadius::ScaledNoise(0.05);
+    let mut dets: Vec<(String, Box<dyn PreparedDetector<f64>>)> = Vec::new();
+    for sort in [true, false] {
+        for eval in [EvalStrategy::Gemm, EvalStrategy::Incremental] {
+            for radius in [InitialRadius::Infinite, restarts] {
+                let sd = SphereDecoder::<f64>::new(c.clone())
+                    .with_sorted_children(sort)
+                    .with_eval(eval)
+                    .with_initial_radius(radius);
+                dets.push((format!("sort={sort} {eval:?} {radius:?}"), Box::new(sd)));
+            }
+        }
+    }
+    dets.push((
+        "one-worker subtree-parallel".into(),
+        Box::new(
+            ParallelSphereDecoder::<f64>::new(c)
+                .with_workers(1)
+                .with_initial_radius(restarts),
+        ),
+    ));
+    let mut plain_ws = SearchWorkspace::new();
+    let mut traced_ws = SearchWorkspace::new();
+    traced_ws.install_telemetry();
+    let (mut plain, mut traced) = (Detection::default(), Detection::default());
+    for (name, det) in &dets {
+        let (mut restarted, mut truncated) = (false, false);
+        for budget in [
+            DecodeBudget::UNLIMITED,
+            DecodeBudget::nodes(40),
+            DecodeBudget::nodes(0),
+        ] {
+            for f in &frames {
+                let prep = det.prepare_frame(f);
+                let r2 = det.initial_radius_sqr(f.h.rows(), f.noise_variance);
+                det.detect_prepared_budgeted_into(&prep, r2, &budget, &mut plain_ws, &mut plain);
+                det.detect_prepared_budgeted_into(&prep, r2, &budget, &mut traced_ws, &mut traced);
+                assert_eq!(traced, plain, "{name}, {budget:?}");
+                assert_eq!(
+                    traced.stats.final_radius_sqr.to_bits(),
+                    plain.stats.final_radius_sqr.to_bits(),
+                    "{name}, {budget:?}: metric bits"
+                );
+                restarted |= plain.stats.restarts > 0;
+                truncated |= plain.stats.quality.is_truncated();
+            }
+        }
+        assert!(truncated, "{name}: the budgets must trip");
+        assert!(
+            restarted || !name.contains("ScaledNoise"),
+            "{name}: the finite radius must force a restart"
+        );
+    }
 }
 
 #[test]
