@@ -14,12 +14,20 @@
 //!   arena + batched-GEMM speedup against these baselines
 //!   (`crates/bench/benches/expansion.rs`).
 //!
+//! The fixed-point sweeps ([`fx_kbest_reference`], [`fx_fsd_reference`])
+//! are oracles of the same kind for the quantized K-best and FSD engines:
+//! every node re-sums its residual from its full path, as
+//! [`FxPrepared::leaf_metric`] does, and every cut is a full sort.
+//!
 //! They are *not* part of the decoding API; nothing here is tuned.
 
-use crate::detector::{Detection, DetectionStats};
+use crate::detector::{Detection, DetectionStats, SearchQuality};
+use crate::engine::DecodeBudget;
 use crate::pd::{eval_children, sorted_children, EvalStrategy, PdScratch};
 use crate::preprocess::Prepared;
+use crate::quantized::{fx_level_ops, FxPrepared};
 use crate::radius::InitialRadius;
+use sd_math::fixed::MetricKind;
 use sd_math::Float;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -326,5 +334,125 @@ pub fn dfs_reference<F: Float>(
     let mut stats = search.stats;
     stats.final_radius_sqr = search.best_metric.to_f64();
     stats.flops += prep.prep_flops;
+    Detection { indices, stats }
+}
+
+/// Which children of a fixed-point level survive.
+#[derive(Clone, Copy)]
+enum FxCut {
+    /// Keep the `K` best of the whole level.
+    KBest(usize),
+    /// Keep every child of the first `n_fe` levels, then each node's best.
+    Fsd(usize),
+}
+
+/// Plain fixed-point K-best: the oracle of
+/// [`QuantizedKBestSd`](crate::QuantizedKBestSd). Every candidate of a
+/// level is sorted by (metric, generation index) and truncated to `k`;
+/// `budget` is checked before each level, and a trip completes the best
+/// survivor greedily, as the engine does.
+pub fn fx_kbest_reference(
+    prep: &Prepared<f64>,
+    k: usize,
+    metric: MetricKind,
+    budget: &DecodeBudget,
+) -> Detection {
+    fx_sweep_reference(prep, FxCut::KBest(k), metric, budget)
+}
+
+/// Plain fixed-point FSD: the oracle of
+/// [`QuantizedFsd`](crate::QuantizedFsd). The first `n_fe` levels keep
+/// every child, later ones each node's child of least (increment, index).
+pub fn fx_fsd_reference(
+    prep: &Prepared<f64>,
+    n_fe: usize,
+    metric: MetricKind,
+    budget: &DecodeBudget,
+) -> Detection {
+    fx_sweep_reference(prep, FxCut::Fsd(n_fe), metric, budget)
+}
+
+fn fx_sweep_reference(
+    prep: &Prepared<f64>,
+    cut: FxCut,
+    metric: MetricKind,
+    budget: &DecodeBudget,
+) -> Detection {
+    let mut fx = FxPrepared::new();
+    fx.quantize_from(prep);
+    let (m, p) = (prep.n_tx, prep.order);
+    let mut stats = DetectionStats {
+        per_level_generated: vec![0; m],
+        ..Default::default()
+    };
+    let mut inc = vec![0i64; p];
+    let expand = |path: &[usize], stats: &mut DetectionStats, inc: &mut [i64]| {
+        let depth = path.len();
+        stats.nodes_expanded += 1;
+        stats.nodes_generated += p as u64;
+        stats.per_level_generated[depth] += p as u64;
+        stats.flops += fx_level_ops(1, depth, p);
+        fx.increments(path, metric, inc);
+    };
+    let argmin = |inc: &[i64]| (0..p).min_by_key(|&c| (inc[c], c)).expect("P > 0");
+
+    let mut frontier: Vec<(i64, Vec<usize>)> = vec![(0, Vec::new())];
+    let mut tripped = false;
+    for depth in 0..m {
+        if budget.tripped_after(stats.nodes_generated) {
+            tripped = true;
+            break;
+        }
+        // (metric, generation index, path)
+        let mut next: Vec<(i64, usize, Vec<usize>)> = Vec::new();
+        for (pos, (pd, path)) in frontier.iter().enumerate() {
+            expand(path, &mut stats, &mut inc);
+            let children: Vec<usize> = match cut {
+                FxCut::Fsd(n_fe) if depth >= n_fe => {
+                    stats.nodes_pruned += (p - 1) as u64;
+                    vec![argmin(&inc)]
+                }
+                _ => (0..p).collect(),
+            };
+            for c in children {
+                let mut child = path.clone();
+                child.push(c);
+                next.push((metric.combine(*pd, inc[c]), pos * p + c, child));
+            }
+        }
+        if let FxCut::KBest(k) = cut {
+            if next.len() > k {
+                next.sort_by_key(|&(pd, gen, _)| (pd, gen));
+                stats.nodes_pruned += (next.len() - k) as u64;
+                next.truncate(k);
+            }
+        }
+        frontier = next.into_iter().map(|(pd, _, path)| (pd, path)).collect();
+    }
+
+    let leaves = frontier.len() as u64;
+    let (mut pd, mut path) = frontier
+        .into_iter()
+        .enumerate()
+        .min_by_key(|(pos, (pd, _))| (*pd, *pos))
+        .map(|(_, node)| node)
+        .expect("frontier is never empty");
+    if tripped {
+        let spent = stats.nodes_generated;
+        while path.len() < m {
+            expand(&path, &mut stats, &mut inc);
+            let c = argmin(&inc);
+            pd = metric.combine(pd, inc[c]);
+            path.push(c);
+        }
+        stats.leaves_reached = 1;
+        stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
+    } else {
+        stats.leaves_reached = leaves;
+    }
+    stats.radius_updates = 1;
+    stats.final_radius_sqr = fx.metric_to_f64(metric, pd);
+    stats.flops += prep.prep_flops;
+    let indices = prep.indices_from_path(&path);
     Detection { indices, stats }
 }

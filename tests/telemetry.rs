@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sd_core::{
     BestFirstSd, BfsGemmSd, DecodeBudget, Detection, EvalStrategy, FixedComplexitySd,
-    InitialRadius, KBestSd, ParallelSphereDecoder, Phase, PreparedDetector, SearchWorkspace,
-    SphereDecoder,
+    InitialRadius, KBestSd, MetricKind, ParallelSphereDecoder, Phase, PreparedDetector,
+    QuantizedFsd, QuantizedKBestSd, SearchWorkspace, SphereDecoder,
 };
 use sd_wireless::{noise_variance, Constellation, FrameData, Modulation};
 
@@ -130,6 +130,32 @@ fn fsd_reconciles_with_stats() {
 }
 
 #[test]
+fn quantized_kbest_reconciles_with_stats() {
+    let (c, frames) = frames(6, Modulation::Qam4, 8.0, 15, 915);
+    for metric in [MetricKind::L2, MetricKind::LInf] {
+        assert_reconciles(
+            &QuantizedKBestSd::new(c.clone(), 8).with_metric(metric),
+            &frames,
+            "fixed-point K-best",
+        );
+    }
+}
+
+#[test]
+fn quantized_fsd_reconciles_with_stats() {
+    let (c, frames) = frames(6, Modulation::Qam4, 8.0, 15, 916);
+    for metric in [MetricKind::L2, MetricKind::LInf] {
+        assert_reconciles(
+            &QuantizedFsd::new(c.clone())
+                .with_full_expansion_levels(2)
+                .with_metric(metric),
+            &frames,
+            "fixed-point FSD",
+        );
+    }
+}
+
+#[test]
 fn parallel_dfs_reconciles_with_stats() {
     // Per-worker telemetry is recorded locally and replayed into the
     // caller's sink after the join; the merged stream must reconcile with
@@ -158,7 +184,8 @@ fn parallel_dfs_with_restarts_reconciles_with_stats() {
 /// untraced monomorphizations of the depth-first loop return the same
 /// `Detection` — indices, every stats field, metric bits — sorted and
 /// plain, both evaluation strategies, with restarts and with budgets
-/// that trip (including the greedy completion of a zero budget).
+/// that trip (including the greedy completion of a zero budget). The
+/// fixed-point K-best and FSD sweeps, in both metrics, hold to the same.
 #[test]
 fn traced_decode_equals_untraced() {
     let (c, frames) = frames(6, Modulation::Qam4, 6.0, 12, 914);
@@ -178,11 +205,25 @@ fn traced_decode_equals_untraced() {
     dets.push((
         "one-worker subtree-parallel".into(),
         Box::new(
-            ParallelSphereDecoder::<f64>::new(c)
+            ParallelSphereDecoder::<f64>::new(c.clone())
                 .with_workers(1)
                 .with_initial_radius(restarts),
         ),
     ));
+    for metric in [MetricKind::L2, MetricKind::LInf] {
+        dets.push((
+            format!("fixed-point K-best {metric:?}"),
+            Box::new(QuantizedKBestSd::new(c.clone(), 8).with_metric(metric)),
+        ));
+        dets.push((
+            format!("fixed-point FSD {metric:?}"),
+            Box::new(
+                QuantizedFsd::new(c.clone())
+                    .with_full_expansion_levels(2)
+                    .with_metric(metric),
+            ),
+        ));
+    }
     let mut plain_ws = SearchWorkspace::new();
     let mut traced_ws = SearchWorkspace::new();
     traced_ws.install_telemetry();
