@@ -66,7 +66,11 @@ echo "==> fused block decode exactness"
 # per-subcarrier loop and to per-vector decoding — across the stock and
 # quantized fusable tiers, for degenerate blocks, and with budgets
 # tripped and untripped — and exactly allocation-free in steady state.
+# The fixed-point K-best and FSD sweeps, scalar and fused, must also
+# return their plain oracles' bits (reference::fx_kbest_reference,
+# fx_fsd_reference) in the release codegen the benchmark measures.
 cargo test -q --release --test block_fused
+cargo test -q --release --test quantized fixed_point_sweeps_match_the_reference
 cargo test -q --release --test alloc_free fused_block_decode
 cargo test -q --release --test alloc_free served_frames
 

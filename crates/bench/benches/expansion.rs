@@ -411,24 +411,20 @@ fn main() {
     let fuse_fsd = fuse("fsd_fx_linf");
 
     let children = (BATCH * 16) as f64;
-    // The parallel rows only show their scaling on a multi-core host;
-    // record how many cores this run actually had so the numbers are
-    // interpretable (on 1 core the fan-out can only cost, never pay). The
-    // DFS rows carry it themselves, and a worker count above it is flagged.
+    // Record how many cores this run actually had so the numbers are
+    // interpretable (on 1 core the parallel fan-out can only cost, never
+    // pay). Every row carries it, and a worker count above it is flagged.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let rows: Vec<String> = c
         .results()
         .iter()
         .map(|r| {
-            let mut extra = String::new();
-            if r.id.starts_with("decode_16x16_qam16/dfs/") {
-                extra = format!(", \"host_cores\": {cores}");
-                let workers =
-                    r.id.rsplit_once("parallel")
-                        .map(|(_, w)| w.parse::<usize>());
-                if let Some(Ok(w)) = workers {
-                    extra += &format!(", \"oversubscribed\": {}", w > cores);
-                }
+            let mut extra = format!(", \"host_cores\": {cores}");
+            let workers =
+                r.id.rsplit_once("parallel")
+                    .map(|(_, w)| w.parse::<usize>());
+            if let Some(Ok(w)) = workers {
+                extra += &format!(", \"oversubscribed\": {}", w > cores);
             }
             format!(
                 "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}{extra}}}",

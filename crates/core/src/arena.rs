@@ -25,6 +25,7 @@
 use crate::best_first::OpenNode;
 use crate::dfs::DfsTable;
 use crate::pd::PdScratch;
+use crate::quantized::FxSweep;
 use crate::trace::{SearchTelemetry, TraceSink};
 use sd_math::Float;
 use std::collections::BinaryHeap;
@@ -178,6 +179,8 @@ pub struct SearchWorkspace<F: Float> {
     pub(crate) best_path: Vec<usize>,
     /// Depth-first searches' per-level state table.
     pub(crate) dfs: DfsTable<F>,
+    /// Fixed-point K-best/FSD survivor table and quantized problem.
+    pub(crate) fx: FxSweep,
     /// Optional observability sink; engines emit search events into it
     /// when present and skip every emission when `None`.
     pub(crate) trace: Option<Box<dyn TraceSink>>,
@@ -200,6 +203,7 @@ impl<F: Float> SearchWorkspace<F> {
             path: Vec::new(),
             best_path: Vec::new(),
             dfs: DfsTable::default(),
+            fx: FxSweep::default(),
             trace: None,
         }
     }

@@ -423,6 +423,10 @@ impl<F: Float> ParallelSphereDecoder<F> {
             slot.stats.reset(m);
             slot.best_pd = None;
             slot.best_path.clear();
+            // Sized here, on the caller, so that a lane landing its first
+            // leaf never grows it: which lanes land leaves varies run to
+            // run, and a warm pool must not allocate.
+            slot.best_path.reserve(m);
             if tracing {
                 slot.telemetry.on_decode_start(m);
             }

@@ -16,10 +16,10 @@
 //! fused block decoder leans on: a subcarrier's candidate segment holds
 //! the same value sequence whether it was decoded alone or stacked into
 //! a fused level, hence the cut keeps the same survivors. Under a *total*
-//! order (the quantized engines compare `(metric, node id)` tuples) the
-//! survivor set is the unique top-`k` and the order is the full sort's
-//! order, so replacing sort+truncate with this cut is bit-identical by
-//! construction; the float comparator orders by partial distance alone,
+//! order (the quantized engines compare `(metric, generation index)`
+//! keys) the survivor set is the unique top-`k` and the order is the full
+//! sort's order, so replacing sort+truncate with this cut is bit-identical
+//! by construction; the float comparator orders by partial distance alone,
 //! where survivor *sets* can differ from the old full sort only on exact
 //! f64 metric ties (measure-zero for generic channels — see DESIGN.md).
 

@@ -14,23 +14,69 @@ use sd_core::{
     SphereDecoder,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// System allocator wrapper counting every `alloc`/`realloc` call.
+/// System allocator wrapper counting the `alloc`/`realloc` calls of the
+/// threads the measured code runs on.
+///
+/// The test harness shares the process and allocates on its own threads
+/// whenever a test starts or finishes, which can fall inside another
+/// test's measured window. So a call counts only on a thread the harness
+/// does not run:
+/// * the first thread to allocate is the main thread (nothing runs before
+///   it), and it never counts;
+/// * a test thread counts only while it holds the gate ([`serialized`]),
+///   so a test that waits for it or has released it does not;
+/// * a thread whose first allocation falls inside an open [`Window`] is a
+///   test thread the harness started meanwhile, and never counts. The
+///   measured code's own threads (runtime workers, the decode pool)
+///   start and warm up before any window opens.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static MAIN_SEEN: AtomicBool = AtomicBool::new(false);
+static WINDOW_OPEN: AtomicBool = AtomicBool::new(false);
+
+/// A thread's part in the count: not yet seen, counted, or the harness's.
+const UNSEEN: u8 = 0;
+const COUNTED: u8 = 1;
+const HARNESS: u8 = 2;
+
+thread_local! {
+    static ROLE: Cell<u8> = const { Cell::new(UNSEEN) };
+}
+
+fn count_call() {
+    let counted = ROLE
+        .try_with(|role| {
+            if role.get() == UNSEEN {
+                let harness =
+                    !MAIN_SEEN.swap(true, Ordering::SeqCst) || WINDOW_OPEN.load(Ordering::SeqCst);
+                role.set(if harness { HARNESS } else { COUNTED });
+            }
+            role.get() == COUNTED
+        })
+        .unwrap_or(false);
+    if counted {
+        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+fn set_role(role: u8) {
+    ROLE.with(|r| r.set(role));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,16 +84,44 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+/// A measured window: the counted calls from [`Window::open`] to
+/// [`Window::close`].
+struct Window(u64);
+
+impl Window {
+    fn open() -> Self {
+        WINDOW_OPEN.store(true, Ordering::SeqCst);
+        Window(ALLOC_CALLS.load(Ordering::SeqCst))
+    }
+
+    fn close(self) -> u64 {
+        let calls = ALLOC_CALLS.load(Ordering::SeqCst) - self.0;
+        WINDOW_OPEN.store(false, Ordering::SeqCst);
+        calls
+    }
 }
 
-/// The counter is process-global, so tests in this binary must not overlap
-/// their measurement windows: each takes this gate for its whole body.
+/// Tests in this binary must not overlap their measurement windows: each
+/// takes this gate for its whole body, and its thread counts only while
+/// holding it.
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
+struct Gate {
+    _guard: std::sync::MutexGuard<'static, ()>,
+}
+
+impl Drop for Gate {
+    fn drop(&mut self) {
+        WINDOW_OPEN.store(false, Ordering::SeqCst);
+        set_role(HARNESS);
+    }
+}
+
+fn serialized() -> Gate {
+    set_role(HARNESS);
+    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    set_role(COUNTED);
+    Gate { _guard: guard }
 }
 
 /// Fixed 8×8 16-QAM problem set, prepared outside the measured region.
@@ -76,12 +150,12 @@ fn measure(
     for p in preps {
         std::hint::black_box(decode(p));
     }
-    let before = allocs();
+    let window = Window::open();
     let mut nodes = 0;
     for p in preps {
         nodes += std::hint::black_box(decode(p)).stats.nodes_generated;
     }
-    (allocs() - before, nodes)
+    (window.close(), nodes)
 }
 
 /// Per-decode allocation budget: index vector + stats histogram + a few
@@ -199,7 +273,7 @@ fn disabled_trace_decode_is_exactly_allocation_free() {
             det.detect_prepared_into(p, f64::INFINITY, &mut ws, &mut out);
         }
     }
-    let before = allocs();
+    let window = Window::open();
     let mut nodes = 0;
     for det in &dets {
         for p in &preps {
@@ -207,7 +281,7 @@ fn disabled_trace_decode_is_exactly_allocation_free() {
             nodes += std::hint::black_box(&out).stats.nodes_generated;
         }
     }
-    let delta = allocs() - before;
+    let delta = window.close();
     assert!(nodes > 10_000, "search too small to be meaningful: {nodes}");
     assert_eq!(
         delta, 0,
@@ -231,13 +305,13 @@ fn parallel_decode_steady_state_is_exactly_allocation_free() {
     for p in &preps {
         par.detect_prepared_into(p, f64::INFINITY, &mut ws, &mut out);
     }
-    let before = allocs();
+    let window = Window::open();
     let mut nodes = 0;
     for p in &preps {
         par.detect_prepared_into(p, f64::INFINITY, &mut ws, &mut out);
         nodes += std::hint::black_box(&out).stats.nodes_generated;
     }
-    let delta = allocs() - before;
+    let delta = window.close();
     assert!(nodes > 10_000, "search too small to be meaningful: {nodes}");
     assert_eq!(
         delta, 0,
@@ -262,9 +336,9 @@ fn installed_telemetry_cost_is_per_level_not_per_node() {
         }
     };
     warm(&mut ws, &mut out);
-    let before = allocs();
+    let window = Window::open();
     warm(&mut ws, &mut out);
-    let delta = allocs() - before;
+    let delta = window.close();
     assert!(
         delta <= PER_DECODE_BUDGET * preps.len() as u64,
         "{delta} allocations with telemetry installed: recorder allocates per node"
@@ -278,14 +352,14 @@ fn reference_implementation_allocates_per_node() {
     // PR removes: the path-cloning reference allocates proportionally to
     // the number of surviving nodes.
     let (_, _, preps) = prepared_problems();
-    let before = allocs();
+    let window = Window::open();
     let mut nodes = 0;
     for p in &preps {
         nodes += sd_core::reference::kbest_reference(p, 64)
             .stats
             .nodes_generated;
     }
-    let delta = allocs() - before;
+    let delta = window.close();
     assert!(
         delta > nodes / 4,
         "reference made only {delta} allocations for {nodes} nodes?"
@@ -342,7 +416,7 @@ fn fused_block_decode_steady_state_is_exactly_allocation_free() {
         );
         assert!(fused, "warm-up must take the fused path");
     }
-    let before = allocs();
+    let window = Window::open();
     let mut nodes = 0;
     for det in &dets {
         decode_block_fused_into(
@@ -359,7 +433,7 @@ fn fused_block_decode_steady_state_is_exactly_allocation_free() {
             nodes += d.stats.nodes_generated;
         }
     }
-    let delta = allocs() - before;
+    let delta = window.close();
     assert!(nodes > 10_000, "search too small to be meaningful: {nodes}");
     assert_eq!(
         delta, 0,
@@ -423,12 +497,12 @@ fn serve_steady_state_is_request_allocation_free() {
     for _ in 0..3 {
         serve_roundtrip(&rt, &mut ring);
     }
-    let before = allocs();
+    let window = Window::open();
     let mut nodes = 0;
     for _ in 0..8 {
         nodes += serve_roundtrip(&rt, &mut ring);
     }
-    let delta = allocs() - before;
+    let delta = window.close();
     assert!(nodes > 10_000, "search too small to be meaningful: {nodes}");
     assert_eq!(
         delta, 0,
@@ -529,13 +603,13 @@ fn served_frames_steady_state_is_allocation_free() {
             serve_roundtrip(&rt, &mut ring);
         }
         let warm = rt.metrics();
-        let before = allocs();
+        let window = Window::open();
         let mut nodes = 0;
         for _ in 0..8 {
             nodes += serve_frame_roundtrip(&rt, &mut frames);
             nodes += serve_roundtrip(&rt, &mut ring);
         }
-        let delta = allocs() - before;
+        let delta = window.close();
         let snap = rt.metrics();
         rt.shutdown();
         let misses = snap.prep_cache_misses - warm.prep_cache_misses;
