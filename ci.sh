@@ -23,13 +23,20 @@ echo "==> quantized BER gate (release)"
 cargo test -q --release --test quantized -- --ignored
 
 echo "==> exact DFS bit-identity (release)"
-# The iterative sorted DFS must return the seed recursion's bits —
-# indices, every DetectionStats field, metric bits — traced or not, in the
-# release codegen the benchmark measures (the lane kernel vectorizes
-# there).
+# The stock exact rung is the sorted DFS on a sorted-QR
+# (ColumnOrdering::Sorted) preparation. It must return the seed
+# recursion's bits on that same problem, as on the paper's natural-order
+# one: indices, every DetectionStats field, metric bits, traced or not, in
+# the release codegen the benchmark measures (the lane kernel vectorizes
+# there). Its decisions must equal the natural order's (both are ML), and
+# the sorted QR must be the natural QR of the permuted channel, bit for
+# bit, through the fused, split and block preparations.
 cargo test -q --release --test bit_identity --test arena_vs_reference \
   --test parallel_exactness
 cargo test -q --release --test telemetry traced_decode_equals_untraced
+cargo test -q --release --test extensions ordering_never_changes_the_answer
+cargo test -q --release -p sd-core --lib preprocess
+cargo test -q --release -p sd-math --lib sorted_qr
 
 echo "==> parallel determinism stress (SD_STRESS_ITERS=200)"
 # The subtree-parallel decoder must return bit-identical answers on every

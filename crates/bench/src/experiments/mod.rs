@@ -24,9 +24,10 @@ pub const ALL_EXPERIMENTS: [&str; 10] = [
 ];
 
 /// Extension experiment ids (beyond the paper's evaluation).
-pub const EXT_EXPERIMENTS: [&str; 9] = [
+pub const EXT_EXPERIMENTS: [&str; 10] = [
     "ext-fp16",
     "ext-ordering",
+    "ext-kbest-ordering",
     "ext-dualpipe",
     "ext-multipe",
     "ext-robustness",
@@ -51,6 +52,7 @@ pub fn run(id: &str, opts: &RunOpts) -> Option<Report> {
         "nodes" => figures::nodes_claim(opts),
         "ext-fp16" => extensions::ext_fp16(opts),
         "ext-ordering" => extensions::ext_ordering(opts),
+        "ext-kbest-ordering" => extensions::ext_kbest_ordering(opts),
         "ext-dualpipe" => extensions::ext_dualpipe(opts),
         "ext-multipe" => extensions::ext_multipe(opts),
         "ext-robustness" => extensions::ext_robustness(opts),

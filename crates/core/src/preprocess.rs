@@ -6,16 +6,17 @@
 //! use and is shared by every tree decoder, so cross-decoder comparisons
 //! are exact.
 
-use sd_math::{qr_with_qty, Complex, Float, Matrix, QrFactors, QrScratch};
+use sd_math::{Complex, Float, Matrix, QrFactors};
 use sd_wireless::{Constellation, FrameData};
 use serde::{Deserialize, Serialize};
 
-/// Detection-order preprocessing: permute the columns of `H` before the
-/// QR step so the tree fixes streams in a chosen order. The tree's first
-/// levels correspond to the *last* columns, so placing reliable
-/// (high-norm) streams last makes the early partial distances sharp and
-/// shrinks the search — the standard ordering trick of V-BLAST-style
-/// detectors, exposed here as an ablation axis.
+/// Detection-order preprocessing: permute the columns of `H` so the tree
+/// fixes streams in a chosen order. The tree's first levels correspond to
+/// the *last* columns, so placing reliable (high-norm) streams last makes
+/// the early partial distances sharp and shrinks the search — the
+/// standard ordering trick of V-BLAST-style detectors. The norm orders
+/// permute before the QR step; [`ColumnOrdering::Sorted`] pivots inside
+/// it.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ColumnOrdering {
     /// Natural antenna order (what the paper's pipeline uses).
@@ -25,12 +26,22 @@ pub enum ColumnOrdering {
     NormDescending,
     /// Weakest column detected first (the pessimal order, for contrast).
     NormAscending,
+    /// Sorted QR (Wübben et al.'s SQRD): the Householder sweep takes, at
+    /// each step, the remaining column with the least norm left after the
+    /// streams already placed are projected out
+    /// ([`sd_math::QrFactors::factor_sorted`]). The weakest streams fill
+    /// the top of `R` and the strongest its bottom rows, the tree's first
+    /// levels, so the first dive lands near the ML leaf. Costs O(n·m) on
+    /// top of the factorization; `R`, `ȳ` and the tail are bit-identical
+    /// to a natural-order QR of the permuted channel.
+    Sorted,
 }
 
 impl ColumnOrdering {
-    /// Column permutation `perm` such that `H_perm[:, k] = H[:, perm[k]]`,
-    /// written into caller-owned buffers (`norms` is scratch).
-    fn permutation_into<F: Float>(
+    /// Pre-QR column permutation of the norm orders: `perm` such that
+    /// `H_perm[:, k] = H[:, perm[k]]`, written into caller-owned buffers
+    /// (`norms` is scratch).
+    fn norm_permutation_into<F: Float>(
         self,
         h: &Matrix<F>,
         perm: &mut Vec<usize>,
@@ -39,9 +50,6 @@ impl ColumnOrdering {
         let m = h.cols();
         perm.clear();
         perm.extend(0..m);
-        if self == ColumnOrdering::Natural {
-            return;
-        }
         norms.clear();
         norms.extend((0..m).map(|j| {
             (0..h.rows())
@@ -58,16 +66,10 @@ impl ColumnOrdering {
             ColumnOrdering::NormAscending => {
                 perm.sort_unstable_by(|&a, &b| norms[b].total_cmp(&norms[a]))
             }
-            ColumnOrdering::Natural => unreachable!(),
+            ColumnOrdering::Natural | ColumnOrdering::Sorted => {
+                unreachable!("{self:?} is not a pre-QR norm order")
+            }
         }
-    }
-
-    /// Column permutation `perm` such that `H_perm[:, k] = H[:, perm[k]]`.
-    fn permutation<F: Float>(self, h: &Matrix<F>) -> Vec<usize> {
-        let mut perm = Vec::new();
-        let mut norms = Vec::new();
-        self.permutation_into(h, &mut perm, &mut norms);
-        perm
     }
 }
 
@@ -147,43 +149,79 @@ pub fn preprocess<F: Float>(frame: &FrameData, constellation: &Constellation) ->
     preprocess_ordered(frame, constellation, ColumnOrdering::Natural)
 }
 
-/// [`preprocess`] with an explicit detection ordering.
+/// [`preprocess`] with an explicit detection ordering: the allocating
+/// form of [`preprocess_ordered_into`].
 pub fn preprocess_ordered<F: Float>(
     frame: &FrameData,
     constellation: &Constellation,
     ordering: ColumnOrdering,
 ) -> Prepared<F> {
-    let h_cast: Matrix<F> = frame.h.cast();
-    let perm = ordering.permutation(&h_cast);
-    let h = Matrix::from_fn(h_cast.rows(), h_cast.cols(), |i, j| h_cast[(i, perm[j])]);
-    let y: Vec<Complex<F>> = frame.y.iter().map(|c| c.cast()).collect();
-    let (r, ybar, tail_energy) = qr_with_qty(&h, &y);
-    let points = constellation.points().iter().map(|p| p.cast()).collect();
-    let row_blocks = row_blocks_from_r(&r);
-    Prepared {
-        r,
-        ybar,
-        tail_energy,
-        points,
-        n_tx: frame.h.cols(),
-        order: constellation.order(),
-        prep_flops: qr_flops(frame.h.rows(), frame.h.cols()),
-        perm,
-        row_blocks,
-        h: frame.h.clone(),
-        y: frame.y.clone(),
-        noise_variance: frame.noise_variance,
-    }
+    let mut prep = Prepared::empty();
+    preprocess_ordered_into(
+        frame,
+        constellation,
+        ordering,
+        &mut PrepScratch::new(),
+        &mut prep,
+    );
+    prep
 }
 
-/// Reusable buffers for [`preprocess_ordered_into`]: the QR scratch plus
-/// the cast / permuted channel matrices and the cast receive vector.
+/// Reusable buffers for [`preprocess_ordered_into`]: the QR factors, the
+/// cast channel and the cast receive vector.
 pub struct PrepScratch<F: Float> {
-    qr: QrScratch<F>,
-    h_cast: Matrix<F>,
-    h_perm: Matrix<F>,
+    qr: QrFactors<F>,
+    channel: ChannelCast<F>,
     y: Vec<Complex<F>>,
+}
+
+/// The cast channel matrix, its pre-QR permutation and the norm-order
+/// scratch: the channel half every preparation path shares.
+struct ChannelCast<F: Float> {
+    h: Matrix<F>,
+    h_perm: Matrix<F>,
     norms: Vec<f64>,
+}
+
+impl<F: Float> ChannelCast<F> {
+    /// Cast `h` to `F` and factor it under `ordering` into `qr`, writing
+    /// the detection order into `perm` and the thin `R` into `r`.
+    /// [`ColumnOrdering::Sorted`] pivots inside the factorization; the
+    /// norm orders permute the columns before it.
+    fn factor(
+        &mut self,
+        h: &Matrix<f64>,
+        ordering: ColumnOrdering,
+        qr: &mut QrFactors<F>,
+        perm: &mut Vec<usize>,
+        r: &mut Matrix<F>,
+    ) {
+        let (n, m) = h.shape();
+        self.h.resize_for_overwrite(n, m);
+        for i in 0..n {
+            for j in 0..m {
+                self.h[(i, j)] = h[(i, j)].cast();
+            }
+        }
+        match ordering {
+            ColumnOrdering::Natural => {
+                perm.clear();
+                perm.extend(0..m);
+                qr.factor(&self.h, r);
+            }
+            ColumnOrdering::Sorted => qr.factor_sorted(&self.h, r, perm),
+            ColumnOrdering::NormDescending | ColumnOrdering::NormAscending => {
+                ordering.norm_permutation_into(&self.h, perm, &mut self.norms);
+                self.h_perm.resize_for_overwrite(n, m);
+                for i in 0..n {
+                    for (j, &pj) in perm.iter().enumerate() {
+                        self.h_perm[(i, j)] = self.h[(i, pj)];
+                    }
+                }
+                qr.factor(&self.h_perm, r);
+            }
+        }
+    }
 }
 
 impl<F: Float> Default for PrepScratch<F> {
@@ -196,11 +234,13 @@ impl<F: Float> PrepScratch<F> {
     /// Empty scratch; buffers grow to steady state on first use.
     pub fn new() -> Self {
         PrepScratch {
-            qr: QrScratch::new(),
-            h_cast: Matrix::zeros(0, 0),
-            h_perm: Matrix::zeros(0, 0),
+            qr: QrFactors::new(),
+            channel: ChannelCast {
+                h: Matrix::zeros(0, 0),
+                h_perm: Matrix::zeros(0, 0),
+                norms: Vec::new(),
+            },
             y: Vec::new(),
-            norms: Vec::new(),
         }
     }
 }
@@ -218,25 +258,17 @@ pub fn preprocess_ordered_into<F: Float>(
     prep: &mut Prepared<F>,
 ) {
     let (n, m) = frame.h.shape();
-    scratch.h_cast.resize_for_overwrite(n, m);
-    for i in 0..n {
-        for j in 0..m {
-            scratch.h_cast[(i, j)] = frame.h[(i, j)].cast();
-        }
-    }
-    ordering.permutation_into(&scratch.h_cast, &mut prep.perm, &mut scratch.norms);
-    scratch.h_perm.resize_for_overwrite(n, m);
-    for i in 0..n {
-        for j in 0..m {
-            scratch.h_perm[(i, j)] = scratch.h_cast[(i, prep.perm[j])];
-        }
-    }
+    assert_eq!(frame.y.len(), n, "y length must equal rows of H");
+    scratch.channel.factor(
+        &frame.h,
+        ordering,
+        &mut scratch.qr,
+        &mut prep.perm,
+        &mut prep.r,
+    );
     scratch.y.clear();
     scratch.y.extend(frame.y.iter().map(|c| c.cast()));
-    prep.tail_energy =
-        scratch
-            .qr
-            .qr_with_qty_into(&scratch.h_perm, &scratch.y, &mut prep.r, &mut prep.ybar);
+    prep.tail_energy = scratch.qr.apply_qty_into(&scratch.y, &mut prep.ybar);
     prep.points.clear();
     prep.points
         .extend(constellation.points().iter().map(|p| p.cast()));
@@ -318,20 +350,13 @@ pub fn prepare_channel_into<F: Float>(
     chan: &mut ChannelPrep<F>,
 ) {
     let (n, m) = frame.h.shape();
-    scratch.h_cast.resize_for_overwrite(n, m);
-    for i in 0..n {
-        for j in 0..m {
-            scratch.h_cast[(i, j)] = frame.h[(i, j)].cast();
-        }
-    }
-    ordering.permutation_into(&scratch.h_cast, &mut chan.perm, &mut scratch.norms);
-    scratch.h_perm.resize_for_overwrite(n, m);
-    for i in 0..n {
-        for j in 0..m {
-            scratch.h_perm[(i, j)] = scratch.h_cast[(i, chan.perm[j])];
-        }
-    }
-    chan.factors.factor(&scratch.h_perm, &mut chan.r);
+    scratch.channel.factor(
+        &frame.h,
+        ordering,
+        &mut chan.factors,
+        &mut chan.perm,
+        &mut chan.r,
+    );
     chan.prep_flops = qr_flops(n, m);
 }
 
@@ -828,7 +853,7 @@ mod tests {
                 // Detected-first = last tree column = largest norm.
                 ColumnOrdering::NormDescending => norms.windows(2).all(|w| w[0] <= w[1]),
                 ColumnOrdering::NormAscending => norms.windows(2).all(|w| w[0] >= w[1]),
-                ColumnOrdering::Natural => unreachable!(),
+                ColumnOrdering::Natural | ColumnOrdering::Sorted => unreachable!(),
             };
             assert!(sorted_ok, "{ordering:?}: {norms:?}");
         }
@@ -840,13 +865,52 @@ mod tests {
         // to the same metric.
         let (c, f) = frame(6, Modulation::Qam4, 19);
         let natural: Prepared<f64> = preprocess(&f, &c);
-        let ordered: Prepared<f64> = preprocess_ordered(&f, &c, ColumnOrdering::NormDescending);
-        // Physical hypothesis -> tree order for the ordered problem.
-        let physical = vec![1usize, 2, 3, 0, 1, 2];
-        let tree: Vec<usize> = ordered.perm.iter().map(|&j| physical[j]).collect();
-        let m_nat = natural.full_metric(&physical);
-        let m_ord = ordered.full_metric(&tree);
-        assert!((m_nat - m_ord).abs() < 1e-9, "{m_nat} vs {m_ord}");
+        for ordering in [ColumnOrdering::NormDescending, ColumnOrdering::Sorted] {
+            let ordered: Prepared<f64> = preprocess_ordered(&f, &c, ordering);
+            // Physical hypothesis -> tree order for the ordered problem.
+            let physical = vec![1usize, 2, 3, 0, 1, 2];
+            let tree: Vec<usize> = ordered.perm.iter().map(|&j| physical[j]).collect();
+            let m_nat = natural.full_metric(&physical);
+            let m_ord = ordered.full_metric(&tree);
+            assert!(
+                (m_nat - m_ord).abs() < 1e-9,
+                "{ordering:?}: {m_nat} vs {m_ord}"
+            );
+        }
+    }
+
+    /// `Sorted` pivots inside the QR, yet its problem is the natural-order
+    /// preparation of the channel with its columns permuted up front, bit
+    /// for bit, in both precisions; and its permutation puts the strongest
+    /// stream left at each step at the tree's root side.
+    #[test]
+    fn sorted_preparation_is_the_natural_one_of_the_permuted_channel() {
+        for seed in 0..20u64 {
+            let (c, f) = frame(8, Modulation::Qam4, 0x50D + seed);
+            let sorted: Prepared<f64> = preprocess_ordered(&f, &c, ColumnOrdering::Sorted);
+            let mut permuted = f.clone();
+            permuted.h = Matrix::from_fn(8, 8, |i, j| f.h[(i, sorted.perm[j])]);
+            let natural: Prepared<f64> = preprocess(&permuted, &c);
+            assert_eq!(sorted.r, natural.r, "seed {seed}: R");
+            assert_eq!(sorted.ybar, natural.ybar, "seed {seed}: ybar");
+            assert_eq!(sorted.tail_energy.to_bits(), natural.tail_energy.to_bits());
+            assert_eq!(sorted.row_blocks, natural.row_blocks);
+            let sorted32: Prepared<f32> = preprocess_ordered(&f, &c, ColumnOrdering::Sorted);
+            let mut permuted32 = f.clone();
+            permuted32.h = Matrix::from_fn(8, 8, |i, j| f.h[(i, sorted32.perm[j])]);
+            let natural32: Prepared<f32> = preprocess(&permuted32, &c);
+            assert_eq!(sorted32.r, natural32.r, "seed {seed}: f32 R");
+            assert_eq!(sorted32.ybar, natural32.ybar, "seed {seed}: f32 ybar");
+            // The SQRD diagonal: each step's pivot had the least remaining
+            // norm, so no later column's remaining norm is smaller.
+            for k in 0..8 {
+                let rkk = sorted.r[(k, k)].norm_sqr();
+                for j in k + 1..8 {
+                    let rest: f64 = (k..=j).map(|i| sorted.r[(i, j)].norm_sqr()).sum();
+                    assert!(rkk <= rest * (1.0 + 1e-12), "seed {seed} step {k}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -857,7 +921,8 @@ mod tests {
             (21u64, ColumnOrdering::Natural),
             (22, ColumnOrdering::NormDescending),
             (23, ColumnOrdering::NormAscending),
-            (24, ColumnOrdering::Natural),
+            (24, ColumnOrdering::Sorted),
+            (25, ColumnOrdering::Natural),
         ] {
             let (c, f) = frame(7, Modulation::Qam16, seed);
             let fresh: Prepared<f64> = preprocess_ordered(&f, &c, ordering);
@@ -893,6 +958,7 @@ mod tests {
             (41u64, ColumnOrdering::Natural),
             (42, ColumnOrdering::NormDescending),
             (43, ColumnOrdering::NormAscending),
+            (44, ColumnOrdering::Sorted),
         ] {
             let (c, f) = frame(7, Modulation::Qam16, seed);
             prepare_channel_into(&f, ordering, &mut scratch, &mut chan);
@@ -938,6 +1004,7 @@ mod tests {
             (61u64, ColumnOrdering::Natural),
             (62, ColumnOrdering::NormDescending),
             (63, ColumnOrdering::NormAscending),
+            (64, ColumnOrdering::Sorted),
         ] {
             let (c, f) = frame(6, Modulation::Qam16, seed);
             // A coherence block: one H, fresh y per subcarrier.

@@ -4,8 +4,9 @@
 //! `‖ȳ − Rs‖²` with `H = QR` and `ȳ = Q^H y`, which makes the metric
 //! separable level-by-level (Eq. (5)/(6)) — the property the search tree is
 //! built on. This module implements Householder QR (numerically robust
-//! default) plus a modified Gram–Schmidt variant used as a cross-check in
-//! tests.
+//! default), its sorted twin that pivots the columns inside the same sweep
+//! ([`QrFactors::factor_sorted`], Wübben et al.'s SQRD), plus a modified
+//! Gram–Schmidt variant used as a cross-check in tests.
 
 use crate::complex::Complex;
 use crate::float::Float;
@@ -77,10 +78,86 @@ impl<F: Float> Reflectors<F> {
     }
 }
 
+/// Column state of a sorted QR (Wübben et al.'s SQRD) while its
+/// Householder sweep runs: the permutation so far (`perm[k]` is the input
+/// column now stored at position `k`) and every column's remaining squared
+/// norm, the energy of its rows not yet reduced.
+struct SortedPivot<'a, F> {
+    perm: &'a mut Vec<usize>,
+    norms: &'a mut Vec<F>,
+}
+
+impl<F: Float> SortedPivot<'_, F> {
+    /// Identity permutation and the full squared column norms of `a`:
+    /// one O(n·m) pass.
+    fn start(&mut self, a: &Matrix<F>) {
+        let m = a.cols();
+        self.perm.clear();
+        self.perm.extend(0..m);
+        self.norms.clear();
+        self.norms.resize(m, F::ZERO);
+        for r in 0..a.rows() {
+            for (nj, x) in self.norms.iter_mut().zip(a.row(r)) {
+                *nj += x.norm_sqr();
+            }
+        }
+    }
+
+    /// Before step `k`: swap the remaining column with the least remaining
+    /// norm into position `k`, whole (rows above `k` too, so the finished
+    /// part of `R` moves with it). Ties go to the lowest input column.
+    ///
+    /// Each candidate is keyed by the integer image of `f64::total_cmp` on
+    /// its norm, packed above its input column, so a NaN norm is ordered
+    /// (it cannot panic) and the scan is one integer compare per candidate
+    /// with no data-dependent branch.
+    fn select(&mut self, a: &mut Matrix<F>, k: usize) {
+        let m = a.cols();
+        let key = |j: usize| {
+            let bits = self.norms[j].to_f64().to_bits() as i64;
+            let total = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+            ((total as i128) << 64) | self.perm[j] as i128
+        };
+        let (mut best, mut best_key) = (k, key(k));
+        for j in k + 1..m {
+            let kj = key(j);
+            let less = kj < best_key;
+            best = if less { j } else { best };
+            best_key = if less { kj } else { best_key };
+        }
+        if best != k {
+            for row in a.as_mut_slice().chunks_exact_mut(m) {
+                row.swap(k, best);
+            }
+            self.norms.swap(k, best);
+            self.perm.swap(k, best);
+        }
+    }
+
+    /// After step `k`: row `k` of `R` is final, so each later column's
+    /// remaining norm loses `|r_kj|²`. O(m) per step.
+    fn downdate(&mut self, a: &Matrix<F>, k: usize) {
+        for (nj, r_kj) in self.norms[k + 1..].iter_mut().zip(&a.row(k)[k + 1..]) {
+            *nj -= r_kj.norm_sqr();
+        }
+    }
+}
+
 /// Factorize in place, writing the reflectors into `vs`/`taus` (whose
 /// element buffers are reused across calls, so steady-state callers never
-/// touch the allocator) and leaving `R` in `a`.
-fn householder_into<F: Float>(a: &mut Matrix<F>, vs: &mut Vec<CVector<F>>, taus: &mut Vec<F>) {
+/// touch the allocator) and leaving `R` in `a`. With `pivot`, the sweep
+/// pivots its columns as a sorted QR and leaves the permutation in it.
+///
+/// A pivot only moves whole columns between steps, and each column meets
+/// the same reflectors wherever it is stored, so a pivoted factorization
+/// is bit-identical to the unpivoted one of the input with its columns
+/// permuted up front.
+fn householder_into<F: Float>(
+    a: &mut Matrix<F>,
+    vs: &mut Vec<CVector<F>>,
+    taus: &mut Vec<F>,
+    mut pivot: Option<SortedPivot<'_, F>>,
+) {
     let (n, m) = a.shape();
     assert!(n >= m, "QR requires rows >= cols (got {n}x{m})");
     let steps = m.min(n.saturating_sub(1));
@@ -89,50 +166,65 @@ fn householder_into<F: Float>(a: &mut Matrix<F>, vs: &mut Vec<CVector<F>>, taus:
     }
     vs.truncate(steps);
     taus.clear();
-
-    for k in 0..steps {
-        // Column tail x = A[k.., k].
-        let x = &mut vs[k];
-        x.clear();
-        x.extend((k..n).map(|r| a[(r, k)]));
-        let norm_x = crate::vector::norm(x);
-        if norm_x <= F::epsilon() {
-            taus.push(F::ZERO);
-            continue;
-        }
-        let alpha = x[0];
-        let alpha_abs = alpha.abs();
-        // beta = -(alpha/|alpha|)·‖x‖, or -‖x‖ when alpha == 0.
-        let beta = if alpha_abs > F::ZERO {
-            alpha.scale(-norm_x / alpha_abs)
-        } else {
-            Complex::from_real(-norm_x)
-        };
-        // v = x - beta·e1; v^H v = 2(‖x‖² + |x₀|·‖x‖) so tau = 2/(v^H v).
-        x[0] = alpha - beta;
-        let vhv = norm_x * norm_x + alpha_abs * norm_x;
-        let tau = if vhv > F::ZERO { F::ONE / vhv } else { F::ZERO };
-
-        // Apply the reflector to the trailing columns k..m of A.
-        for c in k..m {
-            let mut w = Complex::zero();
-            for (i, vi) in x.iter().enumerate() {
-                Complex::mul_acc(&mut w, vi.conj(), a[(k + i, c)]);
-            }
-            let w = w.scale(tau);
-            for (i, vi) in x.iter().enumerate() {
-                let delta = w * *vi;
-                a[(k + i, c)] -= delta;
-            }
-        }
-        // Column k is now beta·e1 exactly (clean up rounding below the
-        // diagonal).
-        a[(k, k)] = beta;
-        for r in k + 1..n {
-            a[(r, k)] = Complex::zero();
-        }
-        taus.push(tau);
+    if let Some(p) = pivot.as_mut() {
+        p.start(a);
     }
+
+    for (k, x) in vs.iter_mut().enumerate() {
+        if let Some(p) = pivot.as_mut() {
+            p.select(a, k);
+        }
+        taus.push(reflect_column(a, k, x));
+        if let Some(p) = pivot.as_mut() {
+            p.downdate(a, k);
+        }
+    }
+}
+
+/// Householder step `k`: reduce column `k` of `a` below the diagonal,
+/// writing the reflector into `x` and returning its `tau` (zero when the
+/// column tail is already negligible and the step is skipped).
+fn reflect_column<F: Float>(a: &mut Matrix<F>, k: usize, x: &mut CVector<F>) -> F {
+    let (n, m) = a.shape();
+    // Column tail x = A[k.., k].
+    x.clear();
+    x.extend((k..n).map(|r| a[(r, k)]));
+    let norm_x = crate::vector::norm(x);
+    if norm_x <= F::epsilon() {
+        return F::ZERO;
+    }
+    let alpha = x[0];
+    let alpha_abs = alpha.abs();
+    // beta = -(alpha/|alpha|)·‖x‖, or -‖x‖ when alpha == 0.
+    let beta = if alpha_abs > F::ZERO {
+        alpha.scale(-norm_x / alpha_abs)
+    } else {
+        Complex::from_real(-norm_x)
+    };
+    // v = x - beta·e1; v^H v = 2(‖x‖² + |x₀|·‖x‖) so tau = 2/(v^H v).
+    x[0] = alpha - beta;
+    let vhv = norm_x * norm_x + alpha_abs * norm_x;
+    let tau = if vhv > F::ZERO { F::ONE / vhv } else { F::ZERO };
+
+    // Apply the reflector to the trailing columns k..m of A.
+    for c in k..m {
+        let mut w = Complex::zero();
+        for (i, vi) in x.iter().enumerate() {
+            Complex::mul_acc(&mut w, vi.conj(), a[(k + i, c)]);
+        }
+        let w = w.scale(tau);
+        for (i, vi) in x.iter().enumerate() {
+            let delta = w * *vi;
+            a[(k + i, c)] -= delta;
+        }
+    }
+    // Column k is now beta·e1 exactly (clean up rounding below the
+    // diagonal).
+    a[(k, k)] = beta;
+    for r in k + 1..n {
+        a[(r, k)] = Complex::zero();
+    }
+    tau
 }
 
 /// Factorize in place, returning the reflectors and leaving `R` in `a`.
@@ -140,7 +232,7 @@ fn householder<F: Float>(a: &mut Matrix<F>) -> Reflectors<F> {
     let n = a.rows();
     let mut vs = Vec::new();
     let mut taus = Vec::new();
-    householder_into(a, &mut vs, &mut taus);
+    householder_into(a, &mut vs, &mut taus, None);
     Reflectors { vs, taus, n }
 }
 
@@ -181,13 +273,13 @@ pub fn qr_with_qty<F: Float>(h: &Matrix<F>, y: &[Complex<F>]) -> (Matrix<F>, CVe
 
 /// The channel-dependent half of a decoder QR, split from the
 /// receive-vector half so it can be cached and reused across frames that
-/// share one `H` (channel-coherent serving): [`QrFactors::factor`] runs
-/// the Householder factorization (everything that touches only `H`), and
+/// share one `H` (channel-coherent serving): [`QrFactors::factor`] (or
+/// its column-pivoting twin [`QrFactors::factor_sorted`]) runs the
+/// Householder factorization (everything that touches only `H`), and
 /// [`QrFactors::apply_qty_into`] replays the stored reflectors onto a
-/// fresh `y`. Composing the two is bit-identical to
-/// [`QrScratch::qr_with_qty_into`] by construction — the factorization
-/// never reads `y`, and the reflector application is the identical
-/// `apply_qh` loop.
+/// fresh `y`. Composing the two is bit-identical to [`qr_with_qty`] by
+/// construction — the factorization never reads `y`, and the reflector
+/// application is the identical `apply_qh` loop.
 ///
 /// All buffers are reused across calls, so both halves are
 /// allocation-free once a problem shape has been seen.
@@ -202,6 +294,8 @@ pub struct QrFactors<F: Float> {
     yblock: Matrix<F>,
     /// Per-column reflector coefficients `w_b = τ·(v^H Y[k.., b])`.
     wrow: CVector<F>,
+    /// Remaining squared column norms of a sorted factorization.
+    norms: Vec<F>,
 }
 
 impl<F: Float> Default for QrFactors<F> {
@@ -242,12 +336,39 @@ impl<F: Float> QrFactors<F> {
             ybar: Vec::new(),
             yblock: Matrix::zeros(0, 0),
             wrow: Vec::new(),
+            norms: Vec::new(),
         }
     }
 
     /// Factorize `h`, storing the Householder reflectors in `self` and
     /// writing the thin `m × m` upper-triangular factor into `r_out`.
     pub fn factor(&mut self, h: &Matrix<F>, r_out: &mut Matrix<F>) {
+        self.factor_pivoted(h, r_out, None);
+    }
+
+    /// Sorted QR (Wübben et al.'s SQRD) of `h`: [`QrFactors::factor`] with
+    /// the columns pivoted inside the sweep. Before step `k` the remaining
+    /// column with the least remaining norm moves to position `k`, so the
+    /// weakest streams take the top of `R` and the strongest its bottom
+    /// rows. Writes the permutation into `perm` (`perm[k]` is the column
+    /// of `h` at position `k`).
+    ///
+    /// `R`, the stored reflectors and every later `Qᴴy` are bit-identical
+    /// to [`QrFactors::factor`] of `h` with its columns permuted by
+    /// `perm`. The pivot adds one O(n·m) norm pass, O(m) per step and the
+    /// column swaps; it never allocates once the shape has been seen, and
+    /// it is total: ties go to the lowest column of `h`, and a NaN norm is
+    /// ordered by `total_cmp`.
+    pub fn factor_sorted(&mut self, h: &Matrix<F>, r_out: &mut Matrix<F>, perm: &mut Vec<usize>) {
+        self.factor_pivoted(h, r_out, Some(perm));
+    }
+
+    fn factor_pivoted(
+        &mut self,
+        h: &Matrix<F>,
+        r_out: &mut Matrix<F>,
+        perm: Option<&mut Vec<usize>>,
+    ) {
         let (n, m) = h.shape();
         self.r_full.resize_for_overwrite(n, m);
         for i in 0..n {
@@ -255,7 +376,11 @@ impl<F: Float> QrFactors<F> {
                 self.r_full[(i, j)] = h[(i, j)];
             }
         }
-        householder_into(&mut self.r_full, &mut self.vs, &mut self.taus);
+        let pivot = perm.map(|perm| SortedPivot {
+            perm,
+            norms: &mut self.norms,
+        });
+        householder_into(&mut self.r_full, &mut self.vs, &mut self.taus, pivot);
         r_out.resize_for_overwrite(m, m);
         for i in 0..m {
             for j in 0..m {
@@ -359,49 +484,6 @@ impl<F: Float> QrFactors<F> {
     /// Shape `(n, m)` of the most recently factored matrix.
     pub fn shape(&self) -> (usize, usize) {
         self.r_full.shape()
-    }
-}
-
-/// Reusable buffers for [`QrScratch::qr_with_qty_into`]: the full-size `R`
-/// work matrix, the Householder reflectors, and the `Q^H y` vector. After
-/// one factorization of each problem shape, later calls never touch the
-/// allocator — the property the serving runtime's steady-state decode path
-/// is gated on.
-pub struct QrScratch<F: Float> {
-    factors: QrFactors<F>,
-}
-
-impl<F: Float> Default for QrScratch<F> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<F: Float> QrScratch<F> {
-    /// Empty scratch; buffers grow to steady state on first use.
-    pub fn new() -> Self {
-        QrScratch {
-            factors: QrFactors::new(),
-        }
-    }
-
-    /// [`qr_with_qty`], writing the thin `R` into `r_out` and `ȳ[..m]`
-    /// into `ybar_out` (both reusing their existing capacity) and
-    /// returning the tail energy `‖ȳ[m..]‖²`. Bit-identical to
-    /// [`qr_with_qty`]; allocation-free once every buffer has seen the
-    /// problem shape. Implemented as [`QrFactors::factor`] followed by
-    /// [`QrFactors::apply_qty_into`] — the factor/apply split the serve
-    /// layer's channel-coherent prep cache builds on.
-    pub fn qr_with_qty_into(
-        &mut self,
-        h: &Matrix<F>,
-        y: &[Complex<F>],
-        r_out: &mut Matrix<F>,
-        ybar_out: &mut CVector<F>,
-    ) -> F {
-        assert_eq!(y.len(), h.rows(), "y length must equal rows of H");
-        self.factors.factor(h, r_out);
-        self.factors.apply_qty_into(y, ybar_out)
     }
 }
 
@@ -651,23 +733,129 @@ mod tests {
         }
     }
 
+    /// The channels the sorted QR is checked on: the served shapes, 8×8
+    /// and 16 streams on 18 antennas.
+    fn sorted_qr_channels() -> impl Iterator<Item = M> {
+        (0..40u64).flat_map(|seed| {
+            [
+                random_matrix(8, 8, 0x5027 + seed),
+                random_matrix(18, 16, 0x1618 + seed),
+            ]
+        })
+    }
+
+    /// `m × m` upper factor with its permutation, from a sorted QR.
+    fn sorted_factor<F: Float>(h: &Matrix<F>) -> (Matrix<F>, Vec<usize>) {
+        let mut r = Matrix::zeros(0, 0);
+        let mut perm = Vec::new();
+        QrFactors::new().factor_sorted(h, &mut r, &mut perm);
+        (r, perm)
+    }
+
+    fn is_permutation(perm: &[usize], m: usize) -> bool {
+        let mut seen = perm.to_vec();
+        seen.sort_unstable();
+        seen == (0..m).collect::<Vec<_>>()
+    }
+
+    /// The SQRD rule read back from `R`: step `k` took the remaining
+    /// column with the least remaining norm, and column `j`'s remaining
+    /// norm at step `k` is `Σ_{i=k..j} |r_ij|²`, so `|r_kk|²` is at most
+    /// that for every later `j` (up to the rounding of the downdates).
     #[test]
-    fn scratch_qr_is_bit_identical_to_fresh() {
-        let mut scratch: QrScratch<f64> = QrScratch::new();
-        let mut r_out = M::zeros(0, 0);
-        let mut ybar_out = Vec::new();
-        let mut rng = StdRng::seed_from_u64(0xABCD);
-        // Alternate shapes so the scratch shrinks and regrows.
-        for &(n, m, seed) in &[(8, 5, 1u64), (4, 4, 2), (10, 10, 3), (6, 3, 4), (10, 10, 5)] {
-            let h = random_matrix(n, m, seed);
+    fn sorted_qr_obeys_the_sqrd_rule() {
+        for h in sorted_qr_channels() {
+            let (r, perm) = sorted_factor(&h);
+            let m = h.cols();
+            assert!(is_permutation(&perm, m), "{perm:?}");
+            for k in 0..m {
+                let rkk = r[(k, k)].norm_sqr();
+                for j in k + 1..m {
+                    let remaining: f64 = (k..=j).map(|i| r[(i, j)].norm_sqr()).sum();
+                    assert!(
+                        rkk <= remaining + 1e-12 * (1.0 + remaining),
+                        "{}x{m} step {k}: |r_kk|² {rkk} > column {j}'s {remaining}",
+                        h.rows()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Pivoting inside the sweep is the unpivoted factorization of the
+    /// permuted channel, bit for bit: `R`, `Qᴴy` and the tail.
+    #[test]
+    fn sorted_qr_is_the_qr_of_the_permuted_channel() {
+        let mut rng = StdRng::seed_from_u64(0x50B7);
+        let mut sorted: QrFactors<f64> = QrFactors::new();
+        let mut plain: QrFactors<f64> = QrFactors::new();
+        let (mut r_sorted, mut r_plain, mut perm) = (M::zeros(0, 0), M::zeros(0, 0), Vec::new());
+        let (mut ybar_sorted, mut ybar_plain) = (Vec::new(), Vec::new());
+        for h in sorted_qr_channels() {
+            let (n, m) = h.shape();
+            sorted.factor_sorted(&h, &mut r_sorted, &mut perm);
+            let h_perm = Matrix::from_fn(n, m, |i, j| h[(i, perm[j])]);
+            plain.factor(&h_perm, &mut r_plain);
+            assert_eq!(r_sorted, r_plain, "{n}x{m}: R differs");
             let y: Vec<_> = (0..n)
                 .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
                 .collect();
-            let (r, ybar, tail) = qr_with_qty(&h, &y);
-            let tail2 = scratch.qr_with_qty_into(&h, &y, &mut r_out, &mut ybar_out);
-            assert_eq!(r, r_out, "{n}x{m}: R differs");
-            assert_eq!(ybar, ybar_out, "{n}x{m}: ybar differs");
-            assert!(tail.to_bits() == tail2.to_bits(), "{n}x{m}: tail differs");
+            let tail_sorted = sorted.apply_qty_into(&y, &mut ybar_sorted);
+            let tail_plain = plain.apply_qty_into(&y, &mut ybar_plain);
+            assert_eq!(ybar_sorted, ybar_plain, "{n}x{m}: Qᴴy differs");
+            assert_eq!(tail_sorted.to_bits(), tail_plain.to_bits(), "{n}x{m}: tail");
         }
+    }
+
+    /// Degenerate channels factor without a panic and still yield a
+    /// permutation; exact norm ties go to the lowest column.
+    #[test]
+    fn sorted_qr_is_total_on_degenerate_channels() {
+        let base = random_matrix(8, 6, 0xDE6);
+        let with_col = |j: usize, v: Complex<f64>| {
+            let mut h = base.clone();
+            for i in 0..h.rows() {
+                h[(i, j)] = v;
+            }
+            h
+        };
+        let mut duplicated = base.clone();
+        for i in 0..8 {
+            duplicated[(i, 4)] = base[(i, 1)].scale(1e-3);
+            duplicated[(i, 2)] = base[(i, 1)].scale(1e-3);
+        }
+        let mut nan = base.clone();
+        nan[(3, 2)] = Complex::new(f64::NAN, 0.0);
+        let mut inf = base.clone();
+        inf[(5, 0)] = Complex::new(f64::INFINITY, -1.0);
+        let cases = [
+            ("all-zero", M::zeros(8, 6)),
+            ("zero column", with_col(3, Complex::zero())),
+            ("duplicated column", duplicated),
+            ("NaN", nan),
+            ("infinity", inf),
+            ("NaN column", with_col(1, Complex::new(f64::NAN, f64::NAN))),
+        ];
+        for (label, h) in &cases {
+            let (_, perm) = sorted_factor(h);
+            assert!(is_permutation(&perm, 6), "{label}: {perm:?}");
+        }
+        // All norms tie at every step: the order stays the input order.
+        assert_eq!(sorted_factor(&M::zeros(8, 6)).1, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(sorted_factor(&M::identity(6)).1, [0, 1, 2, 3, 4, 5]);
+        // A zero column has the least norm; equal weak columns go lowest
+        // first.
+        assert_eq!(sorted_factor(&cases[1].1).1[0], 3);
+        assert_eq!(sorted_factor(&cases[2].1).1[0], 2);
+        // f32 input runs the same rule in its own precision.
+        let h32: Matrix<f32> = base.cast();
+        let (r32, perm32) = sorted_factor(&h32);
+        assert!(is_permutation(&perm32, 6), "{perm32:?}");
+        assert!(r32.is_finite());
+        assert_eq!(
+            sorted_factor(&Matrix::<f32>::zeros(8, 6)).1,
+            [0, 1, 2, 3, 4, 5]
+        );
+        assert_eq!(sorted_factor(&M::zeros(3, 0)).1, Vec::<usize>::new());
     }
 }

@@ -17,8 +17,8 @@
 use crate::budget::TierCostClass;
 use crate::ladder::LadderConfig;
 use sd_core::{
-    KBestSd, MetricKind, MmseDetector, PreparedDetector, QuantizedFsd, QuantizedKBestSd,
-    SphereDecoder,
+    ColumnOrdering, KBestSd, MetricKind, MmseDetector, PreparedDetector, QuantizedFsd,
+    QuantizedKBestSd, SphereDecoder,
 };
 use sd_wireless::Constellation;
 use std::sync::Arc;
@@ -57,15 +57,26 @@ impl std::fmt::Debug for Tier {
     }
 }
 
+/// The stock exact rung: the sorted DFS on a sorted-QR detection order
+/// ([`ColumnOrdering::Sorted`]). Its decisions are ML, so they equal the
+/// natural order's; its search visits fewer nodes to reach them. The
+/// approximate rungs keep the natural order, because reordering would
+/// change their decisions.
+fn exact_rung(constellation: &Constellation) -> Tier {
+    Tier::new(
+        "exact",
+        TierCostClass::Adaptive,
+        Box::new(
+            SphereDecoder::<f64>::new(constellation.clone()).with_ordering(ColumnOrdering::Sorted),
+        ),
+    )
+}
+
 /// The stock three-rung descent: exact SD → K-best(`ladder.kbest_k`) →
 /// MMSE. Decision-identical to the runtime's original hard-wired ladder.
 pub fn default_registry(constellation: &Constellation, ladder: &LadderConfig) -> Vec<Tier> {
     vec![
-        Tier::new(
-            "exact",
-            TierCostClass::Adaptive,
-            Box::new(SphereDecoder::<f64>::new(constellation.clone())),
-        ),
+        exact_rung(constellation),
         Tier::new(
             "k-best",
             TierCostClass::fixed_kbest(ladder.kbest_k),
@@ -87,11 +98,7 @@ pub fn default_registry(constellation: &Constellation, ladder: &LadderConfig) ->
 /// search" and "no tree at all".
 pub fn quantized_registry(constellation: &Constellation, ladder: &LadderConfig) -> Vec<Tier> {
     vec![
-        Tier::new(
-            "exact",
-            TierCostClass::Adaptive,
-            Box::new(SphereDecoder::<f64>::new(constellation.clone())),
-        ),
+        exact_rung(constellation),
         Tier::new(
             "k-best",
             TierCostClass::fixed_kbest(ladder.kbest_k),
@@ -120,6 +127,20 @@ mod tests {
     use super::*;
     use sd_wireless::Modulation;
 
+    /// Only the exact rung reorders: the other rungs' decisions would
+    /// move under another detection order.
+    fn assert_only_the_exact_rung_is_sorted(tiers: &[Tier]) {
+        assert_eq!(tiers[0].detector.ordering(), ColumnOrdering::Sorted);
+        for t in &tiers[1..] {
+            assert_eq!(
+                t.detector.ordering(),
+                ColumnOrdering::Natural,
+                "{}",
+                t.label
+            );
+        }
+    }
+
     #[test]
     fn default_registry_shape() {
         let c = Constellation::new(Modulation::Qam4);
@@ -129,6 +150,7 @@ mod tests {
         assert!(matches!(tiers[0].cost, TierCostClass::Adaptive));
         assert!(matches!(tiers[1].cost, TierCostClass::Fixed(_)));
         assert!(matches!(tiers[2].cost, TierCostClass::Linear));
+        assert_only_the_exact_rung_is_sorted(&tiers);
     }
 
     #[test]
@@ -160,6 +182,7 @@ mod tests {
         assert!(matches!(tiers[2].cost, TierCostClass::Fixed(_)));
         assert!(matches!(tiers[3].cost, TierCostClass::Fixed(_)));
         assert!(matches!(tiers[4].cost, TierCostClass::Linear));
+        assert_only_the_exact_rung_is_sorted(&tiers);
     }
 
     #[test]

@@ -125,6 +125,22 @@ impl FrameData {
     }
 }
 
+/// Mean normalized residual `‖y − H·x‖² / σ²` over `frames`: `n_rx` on
+/// average when each `y` was sent through its own `H` at its own `σ²` (the
+/// noise is `CN(0, σ²)` per receive antenna). The generators' tests gate
+/// on it.
+#[cfg(test)]
+pub(crate) fn mean_normalized_residual<'a>(frames: impl Iterator<Item = &'a FrameData>) -> f64 {
+    let (mut acc, mut n) = (0.0, 0usize);
+    for f in frames {
+        let hx = f.h.mul_vec(&f.tx.symbols);
+        let r: f64 = f.y.iter().zip(&hx).map(|(y, h)| (*y - *h).norm_sqr()).sum();
+        acc += r / f.noise_variance;
+        n += 1;
+    }
+    acc / n as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

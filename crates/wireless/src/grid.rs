@@ -211,6 +211,46 @@ mod tests {
         ResourceGrid::generate(cfg, &c, &mut rng)
     }
 
+    /// Every resource element's `y` went through its block's `H` at its
+    /// subcarrier's `σ²`: the normalized residual averages `n_rx` within
+    /// 2%, for i.i.d. and Kronecker fading under SNR ripple, at the shapes
+    /// the benchmark grids use. Pairing each block's `y` with the next
+    /// block's `H` must fail the same gate.
+    #[test]
+    fn grid_sends_y_through_its_own_channel() {
+        use crate::frame::mean_normalized_residual;
+        let kronecker = ChannelModel::KroneckerExponential {
+            rho_tx: 0.5,
+            rho_rx: 0.3,
+        };
+        for (n_tx, n_rx, coherence, ripple_db) in [(8, 8, 64, 3.0), (16, 18, 16, 0.0)] {
+            for model in [ChannelModel::Iid, kronecker] {
+                let cfg = GridConfig::new(coherence, 8192 / coherence, n_tx, n_rx)
+                    .with_coherence(coherence, 1)
+                    .with_model(model)
+                    .with_snr(10.0, ripple_db);
+                let g = grid(&cfg, 0x6E51D);
+                assert_eq!(g.total_elements(), 8192);
+                let within = |mean: f64| (mean - n_rx as f64).abs() <= 0.02 * n_rx as f64;
+                let mean = mean_normalized_residual(g.blocks.iter().flat_map(|b| &b.frames));
+                assert!(within(mean), "{n_tx}x{n_rx} {model:?}: {mean}");
+                // The gate has teeth: another block's channel, this y.
+                let mismatched: Vec<FrameData> = g
+                    .blocks
+                    .windows(2)
+                    .flat_map(|w| {
+                        w[1].frames.iter().map(|f| FrameData {
+                            h: w[0].frames[0].h.clone(),
+                            ..f.clone()
+                        })
+                    })
+                    .collect();
+                let bad = mean_normalized_residual(mismatched.iter());
+                assert!(!within(bad), "{n_tx}x{n_rx} {model:?}: mismatched {bad}");
+            }
+        }
+    }
+
     #[test]
     fn grid_tiles_into_the_expected_blocks() {
         let cfg = GridConfig::new(12, 4, 4, 4).with_coherence(4, 2);

@@ -168,6 +168,32 @@ mod tests {
         (c, s)
     }
 
+    /// Every subcarrier's `y` went through its coherence run's `H`: the
+    /// normalized residual averages `n_rx` within 2%. Pairing each run's
+    /// `y` with the previous run's `H` must fail the same gate.
+    #[test]
+    fn symbol_sends_y_through_its_own_channel() {
+        use crate::frame::mean_normalized_residual;
+        let c = Constellation::new(Modulation::Qam4);
+        let cfg = OfdmConfig::new(16384, 8, 8, 64);
+        let mut rng = StdRng::seed_from_u64(0x0FD3);
+        let s = OfdmSymbol::generate(&cfg, &c, 0.05, &mut rng);
+        let within = |mean: f64| (mean - 8.0).abs() <= 0.02 * 8.0;
+        let mean = mean_normalized_residual(s.frames.iter());
+        assert!(within(mean), "{mean}");
+        let mismatched: Vec<FrameData> = s
+            .frames
+            .iter()
+            .zip(s.frames.iter().skip(64))
+            .map(|(earlier, f)| FrameData {
+                h: earlier.h.clone(),
+                ..f.clone()
+            })
+            .collect();
+        let bad = mean_normalized_residual(mismatched.iter());
+        assert!(!within(bad), "mismatched traffic must fail: {bad}");
+    }
+
     #[test]
     fn symbol_has_one_frame_per_subcarrier() {
         let (_, s) = symbol(16, 4, 0.1);

@@ -3,16 +3,18 @@
 //! path-cloning implementations preserved in [`sd_core::reference`] —
 //! identical decoded indices and identical `DetectionStats` (node counts,
 //! pruning counts, flops, radii) on random frames, for all four search
-//! variants and both child-evaluation strategies (the DFS also in `f32`
-//! and with restarting finite radii).
+//! variants and both child-evaluation strategies (the DFS also in `f32`,
+//! with restarting finite radii, and on sorted-QR problems, the stock
+//! exact rung's detection order).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sd_core::preprocess::preprocess;
+use sd_core::preprocess::{preprocess, preprocess_ordered};
 use sd_core::reference::{best_first_reference, bfs_reference, dfs_reference, kbest_reference};
 use sd_core::{
-    BestFirstSd, BfsGemmSd, EvalStrategy, InitialRadius, KBestSd, PreparedDetector, SphereDecoder,
+    BestFirstSd, BfsGemmSd, ColumnOrdering, EvalStrategy, InitialRadius, KBestSd, PreparedDetector,
+    SphereDecoder,
 };
 use sd_math::GemmAlgo;
 use sd_wireless::{noise_variance, Constellation, FrameData, Modulation};
@@ -34,24 +36,29 @@ fn initial_radius() -> impl Strategy<Value = InitialRadius> {
     ]
 }
 
-/// The DFS engine against the seed recursion at precision `F`: both
-/// evaluation strategies, identical indices and `DetectionStats`.
+/// The DFS engine against the seed recursion at precision `F`, on the
+/// problem prepared in the paper's natural order and on the sorted-QR one
+/// the stock exact rung serves: both evaluation strategies, identical
+/// indices and `DetectionStats`.
 fn dfs_agrees<F: sd_math::Float>(
     c: &Constellation,
     frame: &FrameData,
     radius: InitialRadius,
     sort: bool,
 ) -> Result<(), TestCaseError> {
-    let prep = preprocess::<F>(frame, c);
     let r2 = radius.resolve(frame.h.rows(), frame.noise_variance);
-    for eval in [EvalStrategy::Gemm, EvalStrategy::Incremental] {
-        let arena = SphereDecoder::<F>::new(c.clone())
-            .with_sorted_children(sort)
-            .with_eval(eval)
-            .detect_prepared(&prep, r2);
-        let seed_impl = dfs_reference(&prep, r2, eval, sort);
-        prop_assert_eq!(&arena.indices, &seed_impl.indices);
-        prop_assert_eq!(&arena.stats, &seed_impl.stats);
+    for ordering in [ColumnOrdering::Natural, ColumnOrdering::Sorted] {
+        let prep = preprocess_ordered::<F>(frame, c, ordering);
+        for eval in [EvalStrategy::Gemm, EvalStrategy::Incremental] {
+            let arena = SphereDecoder::<F>::new(c.clone())
+                .with_sorted_children(sort)
+                .with_eval(eval)
+                .with_ordering(ordering)
+                .detect_prepared(&prep, r2);
+            let seed_impl = dfs_reference(&prep, r2, eval, sort);
+            prop_assert_eq!(&arena.indices, &seed_impl.indices);
+            prop_assert_eq!(&arena.stats, &seed_impl.stats);
+        }
     }
     Ok(())
 }

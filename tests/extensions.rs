@@ -15,6 +15,7 @@ fn ordering_never_changes_the_answer() {
     for ordering in [
         ColumnOrdering::NormDescending,
         ColumnOrdering::NormAscending,
+        ColumnOrdering::Sorted,
     ] {
         let ordered: SphereDecoder<f64> = SphereDecoder::new(c.clone()).with_ordering(ordering);
         for f in &frames {

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sd_core::{Detector, InitialRadius, ParallelSphereDecoder, SphereDecoder};
+use sd_core::{ColumnOrdering, Detector, InitialRadius, ParallelSphereDecoder, SphereDecoder};
 use sd_wireless::{noise_variance, Constellation, FrameData, Modulation};
 
 fn make_frame(n: usize, m: Modulation, snr_db: f64, seed: u64) -> (Constellation, FrameData) {
@@ -24,6 +24,11 @@ fn make_frame(n: usize, m: Modulation, snr_db: f64, seed: u64) -> (Constellation
     let mut rng = StdRng::seed_from_u64(seed);
     let f = FrameData::generate(n, n, &c, sigma2, &mut rng);
     (c, f)
+}
+
+/// The paper's natural order, or the sorted QR of the stock exact rung.
+fn ordering() -> impl Strategy<Value = ColumnOrdering> {
+    prop_oneof![Just(ColumnOrdering::Natural), Just(ColumnOrdering::Sorted)]
 }
 
 proptest! {
@@ -37,11 +42,15 @@ proptest! {
         snr_db in 2.0f64..20.0,
         seed in any::<u64>(),
         workers in 2usize..6,
+        ordering in ordering(),
     ) {
         let (c, frame) = make_frame(n, Modulation::Qam4, snr_db, seed);
-        let seq = SphereDecoder::<f64>::new(c.clone()).detect(&frame);
+        let seq = SphereDecoder::<f64>::new(c.clone())
+            .with_ordering(ordering)
+            .detect(&frame);
         let par = ParallelSphereDecoder::<f64>::new(c)
             .with_workers(workers)
+            .with_ordering(ordering)
             .detect(&frame);
         prop_assert_eq!(&par.indices, &seq.indices);
         prop_assert_eq!(
@@ -56,10 +65,15 @@ proptest! {
         n in 2usize..6,
         snr_db in 4.0f64..20.0,
         seed in any::<u64>(),
+        ordering in ordering(),
     ) {
         let (c, frame) = make_frame(n, Modulation::Qam16, snr_db, seed);
-        let seq = SphereDecoder::<f32>::new(c.clone()).detect(&frame);
-        let par = ParallelSphereDecoder::<f32>::new(c).detect(&frame);
+        let seq = SphereDecoder::<f32>::new(c.clone())
+            .with_ordering(ordering)
+            .detect(&frame);
+        let par = ParallelSphereDecoder::<f32>::new(c)
+            .with_ordering(ordering)
+            .detect(&frame);
         prop_assert_eq!(&par.indices, &seq.indices);
         prop_assert_eq!(
             par.stats.final_radius_sqr.to_bits(),
@@ -72,14 +86,17 @@ proptest! {
     fn parallel_restarts_are_bit_identical_to_sequential(
         n in 2usize..6,
         seed in any::<u64>(),
+        ordering in ordering(),
     ) {
         let (c, frame) = make_frame(n, Modulation::Qam4, 4.0, seed);
         let radius = InitialRadius::ScaledNoise(0.05);
         let seq = SphereDecoder::<f64>::new(c.clone())
             .with_initial_radius(radius)
+            .with_ordering(ordering)
             .detect(&frame);
         let par = ParallelSphereDecoder::<f64>::new(c)
             .with_initial_radius(radius)
+            .with_ordering(ordering)
             .detect(&frame);
         prop_assert_eq!(&par.indices, &seq.indices);
         prop_assert_eq!(
@@ -89,8 +106,8 @@ proptest! {
     }
 }
 
-/// Fixed-seed anchor: a deterministic grid of shapes and SNRs, so a
-/// regression reproduces identically everywhere.
+/// Fixed-seed anchor: a deterministic grid of shapes, SNRs and detection
+/// orders, so a regression reproduces identically everywhere.
 #[test]
 fn fixed_seed_grid_matches_sequential() {
     for (n, modulation, snr_db, seed) in [
@@ -101,35 +118,49 @@ fn fixed_seed_grid_matches_sequential() {
         (5, Modulation::Bpsk, 4.0, 5),
     ] {
         let (c, frame) = make_frame(n, modulation, snr_db, seed);
-        let seq = SphereDecoder::<f64>::new(c.clone()).detect(&frame);
-        for workers in [2, 3, 4, 8] {
-            let par = ParallelSphereDecoder::<f64>::new(c.clone())
-                .with_workers(workers)
+        for ordering in [ColumnOrdering::Natural, ColumnOrdering::Sorted] {
+            let seq = SphereDecoder::<f64>::new(c.clone())
+                .with_ordering(ordering)
                 .detect(&frame);
-            assert_eq!(
-                par.indices, seq.indices,
-                "{n}x{n} {modulation:?} w={workers}"
-            );
-            assert_eq!(
-                par.stats.final_radius_sqr.to_bits(),
-                seq.stats.final_radius_sqr.to_bits(),
-                "{n}x{n} {modulation:?} w={workers}: metric bits diverge"
-            );
+            for workers in [2, 3, 4, 8] {
+                let par = ParallelSphereDecoder::<f64>::new(c.clone())
+                    .with_workers(workers)
+                    .with_ordering(ordering)
+                    .detect(&frame);
+                assert_eq!(
+                    par.indices, seq.indices,
+                    "{n}x{n} {modulation:?} {ordering:?} w={workers}"
+                );
+                assert_eq!(
+                    par.stats.final_radius_sqr.to_bits(),
+                    seq.stats.final_radius_sqr.to_bits(),
+                    "{n}x{n} {modulation:?} {ordering:?} w={workers}: metric bits diverge"
+                );
+            }
         }
     }
 }
 
 /// One worker short-circuits to the sequential code path: the whole
-/// [`Detection`] — indices AND every statistic — is bit-identical.
+/// [`Detection`] — indices AND every statistic — is bit-identical, in
+/// either detection order.
 #[test]
 fn one_worker_detection_is_fully_bit_identical() {
     for seed in 10..20u64 {
         let (c, frame) = make_frame(6, Modulation::Qam16, 12.0, seed);
-        let seq = SphereDecoder::<f64>::new(c.clone()).detect(&frame);
-        let par = ParallelSphereDecoder::<f64>::new(c)
-            .with_workers(1)
-            .detect(&frame);
-        assert_eq!(par, seq, "1-worker path must be the sequential decode");
+        for ordering in [ColumnOrdering::Natural, ColumnOrdering::Sorted] {
+            let seq = SphereDecoder::<f64>::new(c.clone())
+                .with_ordering(ordering)
+                .detect(&frame);
+            let par = ParallelSphereDecoder::<f64>::new(c.clone())
+                .with_workers(1)
+                .with_ordering(ordering)
+                .detect(&frame);
+            assert_eq!(
+                par, seq,
+                "{ordering:?}: 1-worker path must be the sequential decode"
+            );
+        }
     }
 }
 

@@ -179,6 +179,10 @@ fn frame_exactness_survives_overload_and_shedding() {
             .take(1)
             .collect(),
     );
+    // Ground truth comes from the served tier's own engine, whatever
+    // ordering and radius policy the stock exact rung is built with.
+    let registry = default_registry(&c, &LadderConfig::default());
+    let det = &*registry[0].detector;
     let mut admitted = Vec::new();
     let mut shed = 0u64;
     let mut shed_vectors = 0u64;
@@ -220,7 +224,6 @@ fn frame_exactness_survives_overload_and_shedding() {
 
     // Admitted frames must still decode bit-identically to a direct
     // per-subcarrier decode of the same engine.
-    let det: SphereDecoder<f64> = SphereDecoder::new(c.clone());
     let mut scratch = PrepScratch::new();
     let mut prep = Prepared::empty();
     let mut ws = SearchWorkspace::new();
