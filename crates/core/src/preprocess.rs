@@ -765,6 +765,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sd_math::qr_with_qty;
     use sd_wireless::Modulation;
 
     fn frame(n: usize, m: Modulation, seed: u64) -> (Constellation, FrameData) {
@@ -881,8 +882,7 @@ mod tests {
 
     /// `Sorted` pivots inside the QR, yet its problem is the natural-order
     /// preparation of the channel with its columns permuted up front, bit
-    /// for bit, in both precisions; and its permutation puts the strongest
-    /// stream left at each step at the tree's root side.
+    /// for bit, in both precisions.
     #[test]
     fn sorted_preparation_is_the_natural_one_of_the_permuted_channel() {
         for seed in 0..20u64 {
@@ -901,16 +901,25 @@ mod tests {
             let natural32: Prepared<f32> = preprocess(&permuted32, &c);
             assert_eq!(sorted32.r, natural32.r, "seed {seed}: f32 R");
             assert_eq!(sorted32.ybar, natural32.ybar, "seed {seed}: f32 ybar");
-            // The SQRD diagonal: each step's pivot had the least remaining
-            // norm, so no later column's remaining norm is smaller.
-            for k in 0..8 {
-                let rkk = sorted.r[(k, k)].norm_sqr();
-                for j in k + 1..8 {
-                    let rest: f64 = (k..=j).map(|i| sorted.r[(i, j)].norm_sqr()).sum();
-                    assert!(rkk <= rest * (1.0 + 1e-12), "seed {seed} step {k}");
-                }
+        }
+    }
+
+    /// The detection order of `ordering` on `h`, found apart from the
+    /// preparation paths: the norm orders sort the column norms (the tree
+    /// detects the last column first), and `Sorted` takes a fresh sorted
+    /// QR's permutation.
+    fn expected_perm(h: &Matrix<f64>, ordering: ColumnOrdering) -> Vec<usize> {
+        let norm = |j: usize| (0..h.rows()).map(|i| h[(i, j)].norm_sqr()).sum::<f64>();
+        let mut perm: Vec<usize> = (0..h.cols()).collect();
+        match ordering {
+            ColumnOrdering::Natural => {}
+            ColumnOrdering::NormDescending => perm.sort_by(|&a, &b| norm(a).total_cmp(&norm(b))),
+            ColumnOrdering::NormAscending => perm.sort_by(|&a, &b| norm(b).total_cmp(&norm(a))),
+            ColumnOrdering::Sorted => {
+                QrFactors::new().factor_sorted(h, &mut Matrix::zeros(0, 0), &mut perm)
             }
         }
+        perm
     }
 
     #[test]
@@ -925,26 +934,24 @@ mod tests {
             (25, ColumnOrdering::Natural),
         ] {
             let (c, f) = frame(7, Modulation::Qam16, seed);
-            let fresh: Prepared<f64> = preprocess_ordered(&f, &c, ordering);
             preprocess_ordered_into(&f, &c, ordering, &mut scratch, &mut prep);
-            assert_eq!(fresh.r, prep.r, "{ordering:?}: R differs");
-            assert_eq!(fresh.ybar, prep.ybar);
-            assert_eq!(fresh.tail_energy.to_bits(), prep.tail_energy.to_bits());
-            assert_eq!(fresh.points, prep.points);
-            assert_eq!(fresh.n_tx, prep.n_tx);
-            assert_eq!(fresh.order, prep.order);
-            assert_eq!(fresh.prep_flops, prep.prep_flops);
-            assert_eq!(fresh.perm, prep.perm);
-            assert_eq!(fresh.row_blocks.len(), prep.row_blocks.len());
-            for (a, b) in fresh.row_blocks.iter().zip(prep.row_blocks.iter()) {
-                assert_eq!(a, b);
-            }
-            assert_eq!(fresh.h, prep.h, "{ordering:?}: frame view H differs");
-            assert_eq!(fresh.y, prep.y);
-            assert_eq!(
-                fresh.noise_variance.to_bits(),
-                prep.noise_variance.to_bits()
-            );
+            // The truth, built without the preparation paths: permute the
+            // channel, run the plain QR, cut R into row blocks.
+            let perm = expected_perm(&f.h, ordering);
+            let h_perm = Matrix::from_fn(7, 7, |i, j| f.h[(i, perm[j])]);
+            let (r, ybar, tail) = qr_with_qty(&h_perm, &f.y);
+            assert_eq!(perm, prep.perm, "{ordering:?}: perm differs");
+            assert_eq!(r, prep.r, "{ordering:?}: R differs");
+            assert_eq!(ybar, prep.ybar);
+            assert_eq!(tail.to_bits(), prep.tail_energy.to_bits());
+            assert_eq!(row_blocks_from_r(&r), prep.row_blocks);
+            assert_eq!(c.points(), &prep.points[..]);
+            assert_eq!(prep.n_tx, 7);
+            assert_eq!(prep.order, c.order());
+            assert_eq!(prep.prep_flops, qr_flops(7, 7));
+            assert_eq!(f.h, prep.h, "{ordering:?}: frame view H differs");
+            assert_eq!(f.y, prep.y);
+            assert_eq!(f.noise_variance.to_bits(), prep.noise_variance.to_bits());
         }
     }
 

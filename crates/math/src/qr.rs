@@ -105,26 +105,16 @@ impl<F: Float> SortedPivot<'_, F> {
 
     /// Before step `k`: swap the remaining column with the least remaining
     /// norm into position `k`, whole (rows above `k` too, so the finished
-    /// part of `R` moves with it). Ties go to the lowest input column.
-    ///
-    /// Each candidate is keyed by the integer image of `f64::total_cmp` on
-    /// its norm, packed above its input column, so a NaN norm is ordered
-    /// (it cannot panic) and the scan is one integer compare per candidate
-    /// with no data-dependent branch.
+    /// part of `R` moves with it). Ties go to the lowest input column, and
+    /// `total_cmp` orders a NaN norm, so the choice cannot panic.
     fn select(&mut self, a: &mut Matrix<F>, k: usize) {
         let m = a.cols();
-        let key = |j: usize| {
-            let bits = self.norms[j].to_f64().to_bits() as i64;
-            let total = bits ^ (((bits >> 63) as u64) >> 1) as i64;
-            ((total as i128) << 64) | self.perm[j] as i128
-        };
-        let (mut best, mut best_key) = (k, key(k));
-        for j in k + 1..m {
-            let kj = key(j);
-            let less = kj < best_key;
-            best = if less { j } else { best };
-            best_key = if less { kj } else { best_key };
-        }
+        let (norms, perm) = (&*self.norms, &*self.perm);
+        let best = (k..m)
+            .min_by(|&i, &j| {
+                (norms[i].to_f64().total_cmp(&norms[j].to_f64())).then(perm[i].cmp(&perm[j]))
+            })
+            .unwrap_or(k);
         if best != k {
             for row in a.as_mut_slice().chunks_exact_mut(m) {
                 row.swap(k, best);
@@ -687,6 +677,38 @@ mod tests {
                 assert_eq!(ybar_fused, ybar_split, "{n}x{m}: ybar differs");
                 assert_eq!(tail_fused.to_bits(), tail_split.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn reused_factors_are_bit_identical_to_fresh() {
+        // One QrFactors reused across shrinking and regrowing shapes, as
+        // the preparation scratch, the channel prep and the prep cache
+        // reuse theirs: every factor + apply must match a fresh
+        // qr_with_qty, and every sorted factor + apply a fresh
+        // qr_with_qty of the permuted channel, bit for bit.
+        let mut factors: QrFactors<f64> = QrFactors::new();
+        let (mut r_out, mut ybar_out, mut perm) = (M::zeros(0, 0), Vec::new(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(0xABCD);
+        for &(n, m, seed) in &[(8, 5, 1u64), (4, 4, 2), (10, 10, 3), (6, 3, 4), (10, 10, 5)] {
+            let h = random_matrix(n, m, seed);
+            let y: Vec<_> = (0..n)
+                .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            factors.factor(&h, &mut r_out);
+            let tail_out = factors.apply_qty_into(&y, &mut ybar_out);
+            let (r, ybar, tail) = qr_with_qty(&h, &y);
+            assert_eq!(r, r_out, "{n}x{m}: R differs");
+            assert_eq!(ybar, ybar_out, "{n}x{m}: ybar differs");
+            assert_eq!(tail.to_bits(), tail_out.to_bits(), "{n}x{m}: tail differs");
+
+            factors.factor_sorted(&h, &mut r_out, &mut perm);
+            let tail_out = factors.apply_qty_into(&y, &mut ybar_out);
+            let h_perm = Matrix::from_fn(n, m, |i, j| h[(i, perm[j])]);
+            let (r, ybar, tail) = qr_with_qty(&h_perm, &y);
+            assert_eq!(r, r_out, "{n}x{m} sorted: R differs");
+            assert_eq!(ybar, ybar_out, "{n}x{m} sorted: ybar differs");
+            assert_eq!(tail.to_bits(), tail_out.to_bits(), "{n}x{m} sorted: tail");
         }
     }
 
