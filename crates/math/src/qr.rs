@@ -704,6 +704,9 @@ mod tests {
 
             factors.factor_sorted(&h, &mut r_out, &mut perm);
             let tail_out = factors.apply_qty_into(&y, &mut ybar_out);
+            let (mut r_fresh, mut perm_fresh) = (M::zeros(0, 0), Vec::new());
+            QrFactors::new().factor_sorted(&h, &mut r_fresh, &mut perm_fresh);
+            assert_eq!(perm, perm_fresh, "{n}x{m} sorted: perm differs");
             let h_perm = Matrix::from_fn(n, m, |i, j| h[(i, perm[j])]);
             let (r, ybar, tail) = qr_with_qty(&h_perm, &y);
             assert_eq!(r, r_out, "{n}x{m} sorted: R differs");
