@@ -112,7 +112,10 @@ impl<F: Float> SortedPivot<'_, F> {
         let (norms, perm) = (&*self.norms, &*self.perm);
         let best = (k..m)
             .min_by(|&i, &j| {
-                (norms[i].to_f64().total_cmp(&norms[j].to_f64())).then(perm[i].cmp(&perm[j]))
+                norms[i]
+                    .to_f64()
+                    .total_cmp(&norms[j].to_f64())
+                    .then(perm[i].cmp(&perm[j]))
             })
             .unwrap_or(k);
         if best != k {
