@@ -45,6 +45,16 @@ echo "==> parallel determinism stress (SD_STRESS_ITERS=200)"
 SD_STRESS_ITERS=200 cargo test -q --release --test parallel_exactness \
   repeated_parallel_decodes_are_deterministic
 
+echo "==> served exactness (release)"
+# Every tier's served decisions must equal a direct decode of the same
+# engine, bit for bit, in the release codegen the benchmark measures:
+# single vectors, runs of consecutive vectors on one channel (served as
+# one block) interleaved with fresh channels and frames under every
+# topology and ladder mode, and the requests admission must refuse as
+# malformed without losing a worker.
+cargo test -q --release --test serve_exactness
+cargo test -q --release --test alloc_free served_runs
+
 echo "==> frame-path exactness"
 # Whole-frame submission must be bit-identical to per-vector submission
 # through every registry tier, including under overload/shedding; a

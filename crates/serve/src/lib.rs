@@ -107,8 +107,8 @@ pub use prep_cache::{route_hash, PrepCache};
 pub use queue::{BatchPop, BoundedQueue, PushError};
 pub use registry::{default_registry, quantized_registry, Tier};
 pub use request::{
-    DetectionRequest, DetectionResponse, FrameRequest, FrameResponse, RejectReason, Rejected,
-    RejectedFrame,
+    Defect, DetectionRequest, DetectionResponse, FrameRequest, FrameResponse, RejectReason,
+    Rejected, RejectedFrame,
 };
 pub use runtime::{
     default_core_allowance, host_cores, CoreBudgetConfig, ReporterConfig, ServeConfig, ServeRuntime,

@@ -339,6 +339,8 @@ metric_set! {
         Counter rejected_shutdown,
         /// Requests shed by predictive admission (predicted wait exceeded the deadline).
         Counter rejected_predicted as "rejected_predicted_late",
+        /// Requests refused at admission as malformed (bad shape, non-finite H or y, or bad σ²).
+        Counter rejected_malformed,
         /// Responses that exceeded their deadline.
         Counter deadline_missed,
         /// Responses produced.
@@ -363,6 +365,8 @@ metric_set! {
         Counter frames_served,
         /// Frames decoded by the cross-subcarrier fused block path.
         Counter frames_fused,
+        /// Vectors served in runs of two or more consecutive vectors on one channel.
+        Counter run_vectors,
         /// Core-budget plan changes by the adaptive controller.
         Counter budget_replans,
         /// Subtree-decoder lane allowance planned by the controller (0 without one).

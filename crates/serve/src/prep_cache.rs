@@ -61,6 +61,14 @@ pub struct PrepCache {
 /// cache. Any decent 64-bit mix works here — the full `H` comparison
 /// catches collisions.
 pub fn route_hash(h: &Matrix<f64>) -> u64 {
+    route_hash_finite(h).0
+}
+
+/// [`route_hash`] of `h`, and whether every entry of `h` is finite. The
+/// finiteness test rides the hash's pass over the words: it is independent
+/// work beside the hash's serial multiply chain, so admission validates
+/// the channel at no measurable cost.
+pub(crate) fn route_hash_finite(h: &Matrix<f64>) -> (u64, bool) {
     const PRIME: u64 = 0x100000001b3;
     let mut acc = 0xcbf29ce484222325u64;
     let mut mix = |v: u64| {
@@ -70,14 +78,17 @@ pub fn route_hash(h: &Matrix<f64>) -> u64 {
     let (n, m) = h.shape();
     mix(n as u64);
     mix(m as u64);
+    let mut finite = true;
     for c in h.as_slice() {
         mix(c.re.to_bits());
         mix(c.im.to_bits());
+        finite &= c.re.is_finite() & c.im.is_finite();
     }
-    acc
+    (acc, finite)
 }
 
-fn same_h(a: &Matrix<f64>, b: &Matrix<f64>) -> bool {
+/// Whether two channel matrices are the same bit for bit.
+pub(crate) fn same_h(a: &Matrix<f64>, b: &Matrix<f64>) -> bool {
     a.shape() == b.shape()
         && a.as_slice()
             .iter()
@@ -433,6 +444,19 @@ mod tests {
         let (_, g) = setup(10);
         assert_eq!(route_hash(&f.h), route_hash(&f.h), "routing is stable");
         assert_ne!(route_hash(&f.h), route_hash(&g.h));
+    }
+
+    /// The admission pass reports non-finite entries without changing the
+    /// hash it routes by.
+    #[test]
+    fn hash_pass_flags_non_finite_channels() {
+        let (_, f) = setup(14);
+        assert_eq!(route_hash_finite(&f.h), (route_hash(&f.h), true));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut h = f.h.clone();
+            h[(3, 1)].im = bad;
+            assert_eq!(route_hash_finite(&h), (route_hash(&h), false), "{bad}");
+        }
     }
 
     #[test]

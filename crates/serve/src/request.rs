@@ -215,6 +215,29 @@ pub enum RejectReason {
     },
     /// The runtime is shutting down and accepts no new work.
     ShuttingDown,
+    /// The request cannot be decoded: one of its subcarriers breaks the
+    /// shape `1 ≤ n_tx ≤ n_rx == y.len()` (or differs from the block
+    /// channel's shape), or holds a NaN or infinite entry in `H` or `y`,
+    /// or a noise variance that is not finite and non-negative.
+    /// Admission refuses it before routing, so no worker ever decodes it.
+    Malformed {
+        /// The first offending subcarrier (0 for a vector, or for a frame
+        /// with no subcarriers).
+        subcarrier: usize,
+        /// What is wrong with it.
+        defect: Defect,
+    },
+}
+
+/// What makes a subcarrier undecodable ([`RejectReason::Malformed`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Defect {
+    /// Its shape is not `1 ≤ n_tx ≤ n_rx == y.len()`, it differs from the
+    /// block channel's, or the block has no subcarriers at all.
+    Shape,
+    /// `H` or `y` holds a NaN or an infinity, or `σ²` is not finite and
+    /// non-negative.
+    Value,
 }
 
 impl std::fmt::Display for RejectReason {
@@ -226,6 +249,13 @@ impl std::fmt::Display for RejectReason {
                 "predicted queue wait {predicted_wait:?} exceeds the deadline"
             ),
             RejectReason::ShuttingDown => write!(f, "runtime shutting down"),
+            RejectReason::Malformed { subcarrier, defect } => {
+                let what = match defect {
+                    Defect::Shape => "its shape is not 1 ≤ n_tx ≤ n_rx == y.len()",
+                    Defect::Value => "H, y or σ² is not finite, or σ² < 0",
+                };
+                write!(f, "subcarrier {subcarrier} is malformed: {what}")
+            }
         }
     }
 }
@@ -246,6 +276,11 @@ mod tests {
             predicted_wait: Duration::from_millis(12),
         };
         assert!(format!("{late}").contains("predicted queue wait"));
+        let bad = RejectReason::Malformed {
+            subcarrier: 3,
+            defect: Defect::Value,
+        };
+        assert!(format!("{bad}").contains("subcarrier 3 is malformed"));
     }
 
     fn coherent_frames(len: usize) -> Vec<FrameData> {

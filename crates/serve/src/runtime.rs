@@ -14,9 +14,11 @@
 //! Lifecycle of a request:
 //!
 //! 1. [`ServeRuntime::submit`] (or [`ServeRuntime::submit_frame`]) stamps
-//!    the admission time and offers the request to its affinity shard's
-//!    bounded queue. A full (or closing) queue returns it immediately as
-//!    [`Rejected`] — load is shed at the door, never queued without bound.
+//!    the admission time, validates the request and offers it to its
+//!    affinity shard's bounded queue. A malformed request
+//!    ([`RejectReason::Malformed`]) or a full (or closing) queue returns it
+//!    immediately as [`Rejected`] — load is shed at the door, never queued
+//!    without bound, and no worker is handed a request it cannot decode.
 //! 2. A shard worker drains it as part of a batch ([`crate::batcher`]),
 //!    picks a ladder rung from the time left until its deadline
 //!    ([`crate::ladder`]), decodes into a pooled [`sd_core::Detection`]
@@ -46,12 +48,12 @@ use crate::budget::{CoreBudgetPolicy, CostModel};
 use crate::export::{render, ExportFormat};
 use crate::ladder::{choose_tier, LadderConfig};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::prep_cache::{route_hash, PrepCache};
+use crate::prep_cache::{route_hash_finite, PrepCache};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{default_registry, Tier};
 use crate::request::{
-    DetectionRequest, DetectionResponse, FrameRequest, FrameResponse, RejectReason, Rejected,
-    RejectedFrame,
+    Defect, DetectionRequest, DetectionResponse, FrameRequest, FrameResponse, RejectReason,
+    Rejected, RejectedFrame,
 };
 use crate::worker::Worker;
 use sd_core::{Detection, WorkerBudget};
@@ -280,7 +282,7 @@ pub(crate) struct Ingress {
     pub(crate) request: Request,
     /// Admission time; queue wait and latency run from here.
     pub(crate) enqueued_at: Instant,
-    /// [`route_hash`] of the block's channel: it picked the shard at
+    /// [`crate::route_hash`] of the block's channel: it picked the shard at
     /// admission and keys the shard's prep cache at the worker, so each
     /// channel is hashed once per request.
     pub(crate) hash: u64,
@@ -485,6 +487,31 @@ fn split_capacity(total: usize, n: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Check that a block can be decoded, and return its channel's
+/// [`crate::route_hash`]: every subcarrier must have the shape
+/// `1 ≤ n_tx ≤ n_rx == y.len()` of the block channel, finite `H` and `y`,
+/// and a finite, non-negative `σ²`. The channel's finiteness is tested in
+/// the hash's own pass over its words, and the subcarriers of a frame share
+/// that channel, so what validation adds is one pass over each `y`.
+fn validate(frames: &[FrameData]) -> Result<u64, RejectReason> {
+    let malformed = |subcarrier, defect| RejectReason::Malformed { subcarrier, defect };
+    let Some(first) = frames.first() else {
+        return Err(malformed(0, Defect::Shape));
+    };
+    let (n_rx, n_tx) = first.h.shape();
+    let (hash, h_finite) = route_hash_finite(&first.h);
+    for (k, f) in frames.iter().enumerate() {
+        if f.h.shape() != (n_rx, n_tx) || f.y.len() != n_rx || !(1..=n_rx).contains(&n_tx) {
+            return Err(malformed(k, Defect::Shape));
+        }
+        let y_finite = f.y.iter().all(|c| c.re.is_finite() && c.im.is_finite());
+        if !(h_finite && y_finite && (0.0..f64::INFINITY).contains(&f.noise_variance)) {
+            return Err(malformed(k, Defect::Value));
+        }
+    }
+    Ok(hash)
+}
+
 impl ServeRuntime {
     /// Spawn the worker pool with the stock registry (exact SD → K-best →
     /// MMSE) and start serving.
@@ -569,13 +596,15 @@ impl ServeRuntime {
         }
     }
 
-    /// Admission, for both request shapes: stamp the request, route it by
-    /// its channel hash to its affinity shard, apply the predictive gate,
-    /// and offer it to that shard's bounded queue. A full (or closing)
-    /// queue hands it back with the reason at once — load is shed at the
-    /// door; the depth in a `QueueFull` is that shard's, not the global
-    /// backlog. Every counter weighs the request by its receive vectors,
-    /// so `accepted == served` stays closed over mixed traffic.
+    /// Admission, for both request shapes: stamp the request, validate it,
+    /// route it by its channel hash to its affinity shard, apply the
+    /// predictive gate, and offer it to that shard's bounded queue. A
+    /// malformed request, or a full (or closing) queue, hands it back with
+    /// the reason at once — load is shed at the door, and nothing a worker
+    /// cannot decode ever reaches one; the depth in a `QueueFull` is that
+    /// shard's, not the global backlog. Every counter weighs the request by
+    /// its receive vectors, so `accepted == served` stays closed over mixed
+    /// traffic.
     // The large Err is the contract: shedding hands the request (and its
     // frame buffers) straight back without touching the allocator.
     #[allow(clippy::result_large_err)]
@@ -583,9 +612,15 @@ impl ServeRuntime {
         use std::sync::atomic::Ordering::Relaxed;
         let enqueued_at = Instant::now();
         let b = request.frames().len() as u64;
-        let hash = route_hash(&request.frames()[0].h);
-        let idx = (hash % self.shared.shards.len() as u64) as usize;
         let m = &self.shared.metrics;
+        let hash = match validate(request.frames()) {
+            Ok(hash) => hash,
+            Err(reason) => {
+                m.rejected_malformed.fetch_add(b, Relaxed);
+                return Err((request, reason));
+            }
+        };
+        let idx = (hash % self.shared.shards.len() as u64) as usize;
         let shard = &self.shared.shards[idx];
         if let Some(predicted_wait) = self.predicted_late(shard, request.deadline()) {
             m.rejected_predicted.fetch_add(b, Relaxed);

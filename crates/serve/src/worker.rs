@@ -28,16 +28,27 @@
 //! Every item is a block of `B ≥ 1` receive vectors sharing one channel
 //! (a [`crate::DetectionRequest`] is a block of one), decoded by one body:
 //! one ladder decision scaled by `B`, one channel preparation — a single
-//! prep-cache lookup on cacheable tiers, counted `B` times as a hit, miss
-//! or bypass — and one decode. On level-synchronous tiers a block of two
-//! or more takes the cross-subcarrier **fused** decode (one GEMM batch per
-//! tree level for the whole block); a single vector, and every other
-//! tier, runs the scalar search per subcarrier. Either way every vector's
-//! result is bit-identical to decoding it alone.
+//! prep-cache lookup on cacheable tiers — and one decode. On
+//! level-synchronous tiers a block of two or more takes the
+//! cross-subcarrier **fused** decode (one GEMM batch per tree level for
+//! the whole block); a single vector, and every other tier, runs the
+//! scalar search per subcarrier. Either way every vector's result is
+//! bit-identical to decoding it alone.
+//!
+//! Consecutive vector requests in a drained batch whose channels are the
+//! same bit for bit form a **run**, and the same body serves the run as a
+//! block, the way it serves a frame: one channel observable, one ladder
+//! decision against the run's tightest remaining deadline, one prep-cache
+//! lookup, one batched `Qᴴy` apply and one decode, with one response per
+//! request. The run's receive vectors are swapped into a worker-owned
+//! buffer for the block calls and swapped back before the responses go
+//! out, which moves pointers only. The next item's channel hash is
+//! compared before anything moves, so a vector on a fresh channel moves
+//! nothing extra and is served alone, as a block of one.
 
 use crate::budget::CostModel;
 use crate::ladder::choose_tier;
-use crate::prep_cache::PrepCache;
+use crate::prep_cache::{same_h, PrepCache};
 use crate::queue::BatchPop;
 use crate::request::{DetectionResponse, FrameResponse};
 use crate::runtime::{Ingress, Request, Shared, POOL_POISONED};
@@ -45,6 +56,9 @@ use sd_core::{
     decode_block_budgeted_into, prepare_frame_block_into, BlockPrep, ChannelObservables,
     ChannelPrep, Detection, DetectionStats, PrepScratch, Prepared, SearchWorkspace,
 };
+use sd_math::Matrix;
+use sd_wireless::{FrameData, TxFrame};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,11 +68,57 @@ use std::time::{Duration, Instant};
 /// no scan overhead at all.
 const STEAL_POLL: Duration = Duration::from_micros(500);
 
-/// Where one item's detections are written: a pooled slot for a vector,
-/// a pooled block for a frame.
+/// Where one item's detections are written: a pooled slot for a lone
+/// vector, the worker's run slots (filled from the pool) for a run, a
+/// pooled block for a frame.
 enum Slots {
     One(Detection),
-    Block(Vec<Detection>),
+    Run(Vec<Detection>),
+    Frame(Vec<Detection>),
+}
+
+/// Whether `next` continues the run that `lead` opened: both are vectors
+/// on one channel. The routing hash is compared first, so a vector on a
+/// fresh channel costs one integer compare; the full `H` comparison after
+/// it keeps a hash collision from merging two channels.
+fn continues_run(lead: &Ingress, next: &Ingress) -> bool {
+    lead.hash == next.hash
+        && match (&lead.request, &next.request) {
+            (Request::Vector(a), Request::Vector(b)) => same_h(&a.frame.h, &b.frame.h),
+            _ => false,
+        }
+}
+
+/// Trade the receive vectors of a run — `lead`'s and each member's — with
+/// the first slots of `frames`, so the block calls see them as one slice.
+/// `mem::swap` moves pointers, not data, and a second call swaps them all
+/// back. `frames` grows, with empty placeholders, only when the run is
+/// longer than every run before it.
+fn swap_run_frames(lead: &mut Ingress, members: &mut [Ingress], frames: &mut Vec<FrameData>) {
+    let b = 1 + members.len();
+    if frames.len() < b {
+        frames.resize_with(b, empty_frame);
+    }
+    for (item, slot) in std::iter::once(lead).chain(members).zip(frames.iter_mut()) {
+        match &mut item.request {
+            Request::Vector(r) => std::mem::swap(&mut r.frame, slot),
+            Request::Frame(_) => unreachable!("a run is made of vectors"),
+        }
+    }
+}
+
+/// A placeholder receive vector that owns no heap memory.
+fn empty_frame() -> FrameData {
+    FrameData {
+        h: Matrix::zeros(0, 0),
+        y: Vec::new(),
+        noise_variance: 0.0,
+        tx: TxFrame {
+            bits: Vec::new(),
+            indices: Vec::new(),
+            symbols: Vec::new(),
+        },
+    }
 }
 
 pub(crate) struct Worker {
@@ -74,6 +134,13 @@ pub(crate) struct Worker {
     block: BlockPrep<f64>,
     ws: SearchWorkspace<f64>,
     batch: Vec<Ingress>,
+    /// The members after the first of the run being served (empty while
+    /// a lone item is served).
+    run: Vec<Ingress>,
+    /// The run's receive vectors while it is decoded.
+    run_frames: Vec<FrameData>,
+    /// The run's detection slots, in member order.
+    run_dets: Vec<Detection>,
     done: Vec<DetectionResponse>,
     done_frames: Vec<FrameResponse>,
     batch_stats: DetectionStats,
@@ -90,6 +157,9 @@ impl Worker {
             block: BlockPrep::new(),
             ws: SearchWorkspace::new(),
             batch: Vec::new(),
+            run: Vec::new(),
+            run_frames: Vec::new(),
+            run_dets: Vec::new(),
             done: Vec::new(),
             done_frames: Vec::new(),
             batch_stats: DetectionStats::default(),
@@ -167,9 +237,21 @@ impl Worker {
             let stolen = source != self.shard_idx;
             let size = batch.len();
             self.batch_stats.reset(0);
-            for item in batch.drain(..) {
-                self.serve(item, stolen);
+            let mut items = batch.drain(..);
+            while let Some(lead) = items.next() {
+                // Look at the next item in place, so an item that does
+                // not join the run is never moved for the comparison.
+                while items
+                    .as_slice()
+                    .first()
+                    .is_some_and(|next| continues_run(&lead, next))
+                {
+                    self.run
+                        .push(items.next().expect("the item just looked at"));
+                }
+                self.serve(lead, stolen);
             }
+            drop(items);
             self.batch = batch;
             let m = &self.shared.metrics;
             m.batches.fetch_add(1, Relaxed);
@@ -181,21 +263,40 @@ impl Worker {
     }
 
     /// Decode one item — a block of `B ≥ 1` receive vectors sharing one
-    /// channel — and queue its response: one ladder decision (per-vector
-    /// cost scaled by `B`), one channel preparation, one decode, and
-    /// every counter weighed by `B`. On a cacheable tier with the cache
-    /// on, the preparation is one lookup in the shard's prep cache (whose
-    /// lock is never held for a QR, a block apply or the search);
-    /// everything else prepares its own channel. Every served vector is
-    /// exactly one cache hit, miss or bypass, so
-    /// `hits + misses + bypass == served`.
-    fn serve(&mut self, item: Ingress, stolen: bool) {
+    /// channel — or the run it leads (`self.run` holds the run's other
+    /// members), and queue one response per request: one ladder decision
+    /// (per-vector cost scaled by `B`, against the tightest remaining
+    /// deadline), one channel preparation, one decode, and every counter
+    /// weighed by `B`. On a cacheable tier with the cache on, the
+    /// preparation is one lookup in the shard's prep cache (whose lock is
+    /// never held for a QR, a block apply or the search); everything else
+    /// prepares its own channel. Every served vector is exactly one cache
+    /// hit, miss or bypass, so `hits + misses + bypass == served`.
+    fn serve(&mut self, mut lead: Ingress, stolen: bool) {
         use std::sync::atomic::Ordering::Relaxed;
         let started = Instant::now();
-        let queue_wait = started.saturating_duration_since(item.enqueued_at);
-        let frames = item.request.frames();
-        let (b, snr_db, deadline) = (frames.len(), item.request.snr_db(), item.request.deadline());
+        let is_run = !self.run.is_empty();
+        if is_run {
+            swap_run_frames(&mut lead, &mut self.run, &mut self.run_frames);
+        }
+        let frames = if is_run {
+            &self.run_frames[..=self.run.len()]
+        } else {
+            lead.request.frames()
+        };
+        let (b, snr_db) = (frames.len(), lead.request.snr_db());
         let m = frames[0].h.cols();
+        // A run is decided against its tightest deadline, as a frame is
+        // against its own.
+        let remaining = |i: &Ingress| {
+            let queue_wait = started.saturating_duration_since(i.enqueued_at);
+            i.request.deadline().saturating_sub(queue_wait)
+        };
+        let budget_left = self
+            .run
+            .iter()
+            .map(remaining)
+            .fold(remaining(&lead), Duration::min);
         // The pre-decode complexity observable: the channel's conditioning
         // proxy, computed from column norms in O(NM) — far cheaper than
         // the QR it predicts for.
@@ -208,7 +309,7 @@ impl Worker {
             Some(cond),
             m,
             self.order,
-            deadline.saturating_sub(queue_wait),
+            budget_left,
             b,
         );
         let tier_idx = decision.tier;
@@ -221,7 +322,13 @@ impl Worker {
                 .predict_ns(tier_idx, &tier.cost, snr_db, Some(cond), m, self.order)
                 * b as f64;
 
-        let mut slots = match item.request {
+        let mut slots = match &lead.request {
+            Request::Vector(_) if is_run => {
+                let mut dets = std::mem::take(&mut self.run_dets);
+                let mut pool = self.shared.pool.lock().expect(POOL_POISONED);
+                dets.extend((0..b).map(|_| pool.pop().unwrap_or_default()));
+                Slots::Run(dets)
+            }
             Request::Vector(_) => Slots::One(
                 self.shared
                     .pool
@@ -239,12 +346,12 @@ impl Worker {
                     .pop()
                     .unwrap_or_default();
                 dets.resize_with(b, Detection::default);
-                Slots::Block(dets)
+                Slots::Frame(dets)
             }
         };
         let out = match &mut slots {
             Slots::One(d) => std::slice::from_mut(d),
-            Slots::Block(dets) => &mut dets[..],
+            Slots::Run(dets) | Slots::Frame(dets) => &mut dets[..],
         };
         let metrics = &self.shared.metrics;
         let sm = &metrics.shards[self.shard_idx];
@@ -259,7 +366,7 @@ impl Worker {
             PrepCache::prepare(
                 &self.shared.shards[self.shard_idx].prep_cache,
                 tier_idx,
-                item.hash,
+                lead.hash,
                 det,
                 frames,
                 &mut self.prep_scratch,
@@ -268,13 +375,28 @@ impl Worker {
                 &mut self.prep,
             )
         });
-        let (global, shard) = match hit {
-            Some(true) => (&metrics.prep_cache_hits, &sm.prep_hits),
-            Some(false) => (&metrics.prep_cache_misses, &sm.prep_misses),
-            None => (&metrics.prep_cache_bypass, &sm.prep_bypass),
+        // The arrival that paid for a factorization — a lone vector, a
+        // whole frame, or a run's first vector — is the miss; the rest of
+        // its run arrived after it and hit.
+        let first = lead.weight() as usize;
+        let (hits, misses, bypass) = match hit {
+            Some(true) => (b, 0, 0),
+            Some(false) => (b - first, first, 0),
+            None => (0, 0, b),
         };
-        global.fetch_add(b as u64, Relaxed);
-        shard.fetch_add(b as u64, Relaxed);
+        let add = |counter: &AtomicU64, n: usize| {
+            if n > 0 {
+                counter.fetch_add(n as u64, Relaxed);
+            }
+        };
+        for (global, shard, n) in [
+            (&metrics.prep_cache_hits, &sm.prep_hits, hits),
+            (&metrics.prep_cache_misses, &sm.prep_misses, misses),
+            (&metrics.prep_cache_bypass, &sm.prep_bypass, bypass),
+        ] {
+            add(global, n);
+            add(shard, n);
+        }
         let (prep_factors, fused) = if !det.channel_cacheable() {
             // Bespoke per-vector preparation (the linear family, the
             // real-valued decomposition): nothing to cache or fuse.
@@ -327,8 +449,9 @@ impl Worker {
         };
 
         let service_time = started.elapsed();
-        let latency = queue_wait + service_time;
-        let deadline_missed = latency > deadline;
+        if is_run {
+            swap_run_frames(&mut lead, &mut self.run, &mut self.run_frames);
+        }
 
         // Factorizations are counted *before* the vectors they serve, so a
         // concurrent snapshot (which loads `served` first) can only
@@ -347,8 +470,8 @@ impl Worker {
         if !stolen {
             sm.affinity_served.fetch_add(b as u64, Relaxed);
         }
-        if deadline_missed {
-            metrics.deadline_missed.fetch_add(b as u64, Relaxed);
+        if is_run {
+            metrics.run_vectors.fetch_add(b as u64, Relaxed);
         }
         // Every served vector is exactly one of the two:
         // quality_exact + budget_exhausted == served.
@@ -360,8 +483,6 @@ impl Worker {
         metrics
             .quality_exact
             .fetch_add(b as u64 - truncated, Relaxed);
-        metrics.latency_ns.record(latency.as_nanos() as u64);
-        metrics.queue_wait_ns.record(queue_wait.as_nanos() as u64);
         let mut nodes = 0;
         for d in out.iter() {
             nodes += d.stats.nodes_generated;
@@ -379,21 +500,50 @@ impl Worker {
             service_ns / b as u64,
         );
 
-        let tier_label = Arc::clone(&tier.label);
-        match (item.request, slots) {
-            (Request::Vector(request), Slots::One(detection)) => {
-                self.done.push(DetectionResponse {
-                    request,
-                    detection,
-                    tier: tier_idx,
-                    tier_label,
-                    queue_wait,
-                    service_time,
-                    latency,
-                    deadline_missed,
-                });
+        // Each request waited in the queue until the item (or its run)
+        // started, and was served until the item (or run) was done, so
+        // its stages tile its latency.
+        let timing = |i: &Ingress| {
+            let queue_wait = started.saturating_duration_since(i.enqueued_at);
+            let latency = queue_wait + service_time;
+            let deadline_missed = latency > i.request.deadline();
+            if deadline_missed {
+                metrics.deadline_missed.fetch_add(i.weight(), Relaxed);
             }
-            (Request::Frame(request), Slots::Block(detections)) => {
+            metrics.latency_ns.record(latency.as_nanos() as u64);
+            metrics.queue_wait_ns.record(queue_wait.as_nanos() as u64);
+            (queue_wait, latency, deadline_missed)
+        };
+        let vector = |item: Ingress, detection: Detection| {
+            let (queue_wait, latency, deadline_missed) = timing(&item);
+            let Request::Vector(request) = item.request else {
+                unreachable!("the slots follow the request shape")
+            };
+            DetectionResponse {
+                request,
+                detection,
+                tier: tier_idx,
+                tier_label: Arc::clone(&tier.label),
+                queue_wait,
+                service_time,
+                latency,
+                deadline_missed,
+            }
+        };
+        match slots {
+            Slots::One(detection) => self.done.push(vector(lead, detection)),
+            Slots::Run(mut dets) => {
+                let members = std::iter::once(lead).chain(self.run.drain(..));
+                for (item, detection) in members.zip(dets.drain(..)) {
+                    self.done.push(vector(item, detection));
+                }
+                self.run_dets = dets;
+            }
+            Slots::Frame(detections) => {
+                let (queue_wait, latency, deadline_missed) = timing(&lead);
+                let Request::Frame(request) = lead.request else {
+                    unreachable!("the slots follow the request shape")
+                };
                 metrics.frames_served.fetch_add(1, Relaxed);
                 if fused {
                     metrics.frames_fused.fetch_add(1, Relaxed);
@@ -402,7 +552,7 @@ impl Worker {
                     request,
                     detections,
                     tier: tier_idx,
-                    tier_label,
+                    tier_label: Arc::clone(&tier.label),
                     prep_factors,
                     queue_wait,
                     service_time,
@@ -410,7 +560,80 @@ impl Worker {
                     deadline_missed,
                 });
             }
-            _ => unreachable!("the slots follow the request shape"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{DetectionRequest, FrameRequest};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sd_wireless::{Constellation, Modulation};
+
+    fn item(request: Request, hash: u64) -> Ingress {
+        Ingress {
+            request,
+            enqueued_at: Instant::now(),
+            hash,
+            cost_ns: 0,
+        }
+    }
+
+    fn vector(frame: &FrameData, hash: u64) -> Ingress {
+        let r = DetectionRequest::new(0, frame.clone(), 10.0, Duration::from_millis(10));
+        item(Request::Vector(r), hash)
+    }
+
+    /// Runs join vectors on one channel only: a shared hash is not enough,
+    /// and neither is a shared channel inside a frame.
+    #[test]
+    fn runs_join_vectors_on_one_channel_only() {
+        let c = Constellation::new(Modulation::Qam4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let f = FrameData::generate(4, 4, &c, 0.1, &mut rng);
+        let mut same_h = FrameData::generate(4, 4, &c, 0.1, &mut rng);
+        same_h.h = f.h.clone();
+        let other = FrameData::generate(4, 4, &c, 0.1, &mut rng);
+        let lead = vector(&f, 7);
+        assert!(continues_run(&lead, &vector(&same_h, 7)));
+        assert!(
+            !continues_run(&lead, &vector(&other, 7)),
+            "two channels given the same hash must not merge"
+        );
+        assert!(
+            !continues_run(&lead, &vector(&same_h, 8)),
+            "the hash goes first"
+        );
+        let frame = FrameRequest::new(1, vec![same_h], 10.0, Duration::from_millis(10));
+        assert!(!continues_run(&lead, &item(Request::Frame(frame), 7)));
+    }
+
+    /// Swapping a run's vectors out and back leaves every request as it
+    /// was, and the buffer grows only for a longer run.
+    #[test]
+    fn run_frames_swap_out_and_back() {
+        let c = Constellation::new(Modulation::Qam4);
+        let mut rng = StdRng::seed_from_u64(2);
+        let frames: Vec<FrameData> = (0..3)
+            .map(|_| FrameData::generate(4, 4, &c, 0.1, &mut rng))
+            .collect();
+        let mut lead = vector(&frames[0], 0);
+        let mut members: Vec<Ingress> = frames[1..].iter().map(|f| vector(f, 0)).collect();
+        let mut buf = Vec::new();
+        swap_run_frames(&mut lead, &mut members, &mut buf);
+        assert_eq!(buf.len(), 3);
+        for (k, f) in frames.iter().enumerate() {
+            assert_eq!(buf[k].y, f.y, "slot {k} holds request {k}'s vector");
+        }
+        swap_run_frames(&mut lead, &mut members, &mut buf);
+        for (i, f) in std::iter::once(&lead).chain(&members).zip(&frames) {
+            assert_eq!(i.request.frames()[0].y, f.y);
+            assert_eq!(i.request.frames()[0].h, f.h);
+        }
+        assert!(buf.iter().all(|f| f.y.is_empty()), "placeholders are back");
+        swap_run_frames(&mut lead, &mut members[..1], &mut buf);
+        assert_eq!(buf.len(), 3, "a shorter run reuses the buffer");
     }
 }

@@ -624,3 +624,113 @@ fn served_frames_steady_state_is_allocation_free() {
         );
     }
 }
+
+/// One burst: pause the worker, submit every request of `slots` in id
+/// order, release the worker, and collect and recycle every response back
+/// into its slot. Returns the nodes generated.
+fn serve_burst(
+    rt: &sd_serve::ServeRuntime,
+    slots: &mut [Option<sd_serve::DetectionRequest>],
+) -> u64 {
+    rt.pause();
+    for slot in slots.iter_mut() {
+        rt.submit(slot.take().expect("every request is back"))
+            .expect("the queue holds the burst");
+    }
+    rt.resume();
+    let mut nodes = 0;
+    for _ in 0..slots.len() {
+        let resp = rt
+            .collect_timeout(std::time::Duration::from_secs(10))
+            .expect("runtime stalled");
+        nodes += resp.detection.stats.nodes_generated;
+        let id = resp.request.id as usize;
+        slots[id] = Some(rt.recycle(resp));
+    }
+    nodes
+}
+
+#[test]
+fn served_runs_steady_state_is_allocation_free() {
+    let _g = serialized();
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sd_serve::{default_registry, DetectionRequest, LadderConfig, ServeConfig, ServeRuntime};
+    use sd_wireless::{noise_variance, Constellation, FrameData, Modulation};
+    use std::time::Duration;
+    // A burst of 16 vectors on three channels, drained as one batch:
+    // runs of 5, 5, 3 and 3 vectors, the third on the first run's
+    // channel. Through a two-entry prep cache the runs both hit and miss,
+    // on the exact tier (per-vector search) and on a fusable one (fused
+    // block search), and the steady state must not allocate.
+    let ladder = LadderConfig {
+        enabled: false,
+        kbest_k: 16,
+        anytime: false,
+    };
+    let c = Constellation::new(Modulation::Qam16);
+    let burst = || {
+        let mut rng = StdRng::seed_from_u64(0xB0257);
+        let sigma2 = noise_variance(14.0, 8);
+        let channels: Vec<FrameData> = (0..3)
+            .map(|_| FrameData::generate(8, 8, &c, sigma2, &mut rng))
+            .collect();
+        [(0, 5), (1, 5), (0, 3), (2, 3)]
+            .into_iter()
+            .flat_map(|(ch, len)| std::iter::repeat_n(ch, len))
+            .enumerate()
+            .map(|(id, ch)| {
+                let draw = FrameData::generate(8, 8, &c, sigma2, &mut rng);
+                let frame = FrameData {
+                    h: channels[ch].h.clone(),
+                    ..draw
+                };
+                Some(DetectionRequest::new(
+                    id as u64,
+                    frame,
+                    14.0,
+                    Duration::from_secs(1),
+                ))
+            })
+            .collect::<Vec<_>>()
+    };
+    for (tier, label) in [(0, "exact"), (1, "k-best")] {
+        let rt = ServeRuntime::start_with_registry(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(16)
+                .with_ladder(ladder)
+                .with_prep_cache(2),
+            vec![default_registry(&c, &ladder).remove(tier)],
+        );
+        let mut slots = burst();
+        for _ in 0..3 {
+            serve_burst(&rt, &mut slots);
+        }
+        let warm = rt.metrics();
+        let window = Window::open();
+        let mut nodes = 0;
+        for _ in 0..8 {
+            nodes += serve_burst(&rt, &mut slots);
+        }
+        let delta = window.close();
+        let snap = rt.metrics();
+        rt.shutdown();
+        assert_eq!(
+            snap.run_vectors - warm.run_vectors,
+            8 * 16,
+            "{label}: every vector is served in a run"
+        );
+        assert!(snap.prep_cache_hits > warm.prep_cache_hits, "{label}: hits");
+        assert!(
+            snap.prep_cache_misses > warm.prep_cache_misses,
+            "{label}: misses"
+        );
+        assert!(nodes > 10_000, "{label}: search too small: {nodes}");
+        assert_eq!(
+            delta, 0,
+            "{delta} allocations across 128 vectors served in runs on the {label} \
+             tier ({nodes} nodes): the steady-state run path allocates"
+        );
+    }
+}
