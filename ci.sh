@@ -17,9 +17,13 @@ echo "==> fixed-point kernels: intrinsics feature gate"
 cargo test -q -p sd-math -p sd-core --features simd-intrinsics
 
 echo "==> quantized BER gate (release)"
-# The 16x16/16-QAM degradation bound that licenses the fixed-point serve
-# rungs; debug-ignored because the exact f64 oracle sweep needs release
-# speed.
+# The degradation bound that licenses the served fixed-point rungs, at the
+# paper's 16x16/16-QAM point with 600 frames per SNR point: k-best-fx
+# (QuantizedKBestSd at the ladder's K) against the float K-best at the same
+# K, and the FSD sweep behind fsd-fx-linf (QuantizedFsd, one full-expansion
+# level, in the l2 metric both arithmetics share) against the float FSD.
+# Each must cost <= MAX_QUANT_DEGRADATION_DB (0.2 dB) at BER 1e-2 on the
+# same frames. Debug-ignored for speed; the 8x8 grids run in `cargo test`.
 cargo test -q --release --test quantized -- --ignored
 
 echo "==> exact DFS bit-identity (release)"

@@ -28,7 +28,7 @@ use sd_core::{
     QuantizedKBestSd, SearchWorkspace, SphereDecoder,
 };
 use sd_math::fixed::{COEF_TARGET, SYM_QMAX, Y_CLAMP};
-use sd_math::{fx_expand_level, fx_metric_update, GemmAlgo};
+use sd_math::{fx_expand_level_multi, fx_metric_update, GemmAlgo};
 use sd_wireless::{noise_variance, Constellation, FrameData, Modulation};
 
 /// The paper's operating point: 16×16 antennas, 16-QAM.
@@ -109,7 +109,8 @@ fn bench_node_expansion(c: &mut Criterion) {
 
     // The fixed-point kernel on the same shape: one level's broadcast
     // suffix-MAC + per-child metric update for the whole batch, on
-    // i16/i32 lanes instead of f64.
+    // i16/i32 lanes instead of f64 (`fx_expand_level_multi`, every node
+    // on one ŷ).
     let mut rng = StdRng::seed_from_u64(0x5DC0DE);
     let a_re: Vec<i16> = (0..DEPTH).map(|_| rng.gen_range(-2047..=2047)).collect();
     let a_im: Vec<i16> = (0..DEPTH).map(|_| rng.gen_range(-2047..=2047)).collect();
@@ -127,18 +128,19 @@ fn bench_node_expansion(c: &mut Criterion) {
             .collect()
     };
     let (seed_re, seed_im) = (seed_plane(&mut rng), seed_plane(&mut rng));
+    let (y_re, y_im) = (vec![77_000; BATCH], vec![-42_000; BATCH]);
     let (mut w_re, mut w_im) = (vec![0i32; BATCH], vec![0i32; BATCH]);
     let mut out = vec![0i64; BATCH * p];
     group.bench_function(BenchmarkId::new("fixed_i16", BATCH), |b| {
         b.iter(|| {
-            fx_expand_level(
+            fx_expand_level_multi(
                 &a_re,
                 &a_im,
                 &s_re,
                 &s_im,
                 BATCH,
-                77_000,
-                -42_000,
+                &y_re,
+                &y_im,
                 &seed_re,
                 &seed_im,
                 MetricKind::L2,

@@ -2,17 +2,19 @@
 //! engine.
 //!
 //! An OFDM frame hands the detector many receive vectors that share one
-//! channel matrix. [`decode_block_into`] decodes such a block through any
-//! [`PreparedDetector`]: engines whose preparation is channel-splittable
-//! ([`PreparedDetector::channel_cacheable`]) get the fast path — one
-//! [`prepare_frame_block_into`] factorization plus one batched `ȳ = QᴴY`
-//! apply for the whole block, then a per-subcarrier tree search reusing a
-//! single workspace — while engines with bespoke preparation (the linear
-//! family, the real-valued decomposition) fall back to per-vector
-//! preparation. Either way every subcarrier's detection is bit-identical
-//! to a standalone `prepare_frame_into` + `detect_prepared_into` of that
-//! subcarrier, which is the contract the serve layer's frame exactness
-//! tests pin down.
+//! channel matrix. [`decode_block_budgeted_into`] decodes such a block
+//! through any [`PreparedDetector`]: engines whose preparation is
+//! channel-splittable ([`PreparedDetector::channel_cacheable`]) get the
+//! fast path — one [`prepare_frame_block_into`] factorization plus one
+//! batched `ȳ = QᴴY` apply for the whole block, then a per-subcarrier tree
+//! search reusing a single workspace — while engines with bespoke
+//! preparation (the linear family, the real-valued decomposition) fall back
+//! to per-vector preparation. Either way every subcarrier's detection is
+//! bit-identical to a standalone `prepare_frame_into` +
+//! `detect_prepared_budgeted_into` of that subcarrier under the same
+//! budget, which is the contract the serve layer's frame exactness tests
+//! pin down. [`decode_block_fused_into`] runs the same preparation and
+//! hands the block to the engine's fused hook.
 
 use crate::arena::SearchWorkspace;
 use crate::detector::Detection;
@@ -22,9 +24,12 @@ use sd_math::Float;
 use sd_wireless::FrameData;
 
 /// Decode a coherence block — `frames` all sharing one `H` — through
-/// `det`, writing subcarrier `k`'s detection into `out[k]`. All state
-/// (`scratch`, `block`, `prep`, `ws`) is caller-owned and reused, so the
-/// steady-state path allocates nothing.
+/// `det` under a per-subcarrier [`DecodeBudget`], writing subcarrier `k`'s
+/// detection into `out[k]`. Every subcarrier's search runs with the same
+/// budget, so an anytime engine caps each tree walk independently rather
+/// than racing the whole block against one pool. All state (`scratch`,
+/// `block`, `prep`, `ws`) is caller-owned and reused, so the steady-state
+/// path allocates nothing.
 ///
 /// Returns the number of channel preparations performed: `1` on the
 /// shared-prep path, `frames.len()` on the per-vector fallback — the
@@ -33,32 +38,6 @@ use sd_wireless::FrameData;
 /// # Panics
 /// If `out.len() != frames.len()`, or (on the shared-prep path) if the
 /// frames do not share one channel matrix.
-pub fn decode_block_into<F: Float>(
-    det: &dyn PreparedDetector<F>,
-    frames: &[FrameData],
-    scratch: &mut PrepScratch<F>,
-    block: &mut BlockPrep<F>,
-    prep: &mut Prepared<F>,
-    ws: &mut SearchWorkspace<F>,
-    out: &mut [Detection],
-) -> usize {
-    decode_block_budgeted_into(
-        det,
-        frames,
-        &DecodeBudget::UNLIMITED,
-        scratch,
-        block,
-        prep,
-        ws,
-        out,
-    )
-}
-
-/// [`decode_block_into`] under a per-subcarrier [`DecodeBudget`]: every
-/// subcarrier's search runs with the same budget, so an anytime engine
-/// caps each tree walk independently rather than racing the whole block
-/// against one pool. With [`DecodeBudget::UNLIMITED`] this *is*
-/// `decode_block_into`, bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_block_budgeted_into<F: Float>(
     det: &dyn PreparedDetector<F>,
@@ -239,9 +218,10 @@ mod tests {
         let mut ws = SearchWorkspace::new();
         let mut out: Vec<Detection> = (0..frames.len()).map(|_| Detection::default()).collect();
         for (name, det) in &dets {
-            let preps = decode_block_into(
+            let preps = decode_block_budgeted_into(
                 &**det,
                 &frames,
+                &DecodeBudget::UNLIMITED,
                 &mut scratch,
                 &mut block,
                 &mut prep,
@@ -260,48 +240,22 @@ mod tests {
         }
     }
 
-    /// The budgeted block driver with an unlimited (or unexhausted)
-    /// budget is the plain driver, bit for bit; a zero budget still
-    /// yields complete, flagged detections on every subcarrier.
+    /// A zero budget still yields complete, flagged detections on every
+    /// subcarrier.
     #[test]
-    fn budgeted_block_decode_matches_unbudgeted_until_the_budget_trips() {
+    fn zero_budget_block_decode_completes_every_subcarrier() {
         let c = Constellation::new(Modulation::Qam4);
         let det = SphereDecoder::<f64>::new(c.clone());
         let frames = coherence_block(&c, 6, 5, 10.0, 0xB10C_B0D9);
-        let mut scratch = PrepScratch::new();
-        let mut block = BlockPrep::new();
-        let mut prep = Prepared::empty();
-        let mut ws = SearchWorkspace::new();
-        let mut plain: Vec<Detection> = vec![Detection::default(); frames.len()];
         let mut budgeted: Vec<Detection> = vec![Detection::default(); frames.len()];
-        decode_block_into(
-            &det,
-            &frames,
-            &mut scratch,
-            &mut block,
-            &mut prep,
-            &mut ws,
-            &mut plain,
-        );
-        decode_block_budgeted_into(
-            &det,
-            &frames,
-            &DecodeBudget::UNLIMITED,
-            &mut scratch,
-            &mut block,
-            &mut prep,
-            &mut ws,
-            &mut budgeted,
-        );
-        assert_eq!(budgeted, plain, "unlimited budget must change nothing");
         decode_block_budgeted_into(
             &det,
             &frames,
             &DecodeBudget::nodes(0),
-            &mut scratch,
-            &mut block,
-            &mut prep,
-            &mut ws,
+            &mut PrepScratch::new(),
+            &mut BlockPrep::new(),
+            &mut Prepared::empty(),
+            &mut SearchWorkspace::new(),
             &mut budgeted,
         );
         for d in &budgeted {
@@ -318,9 +272,10 @@ mod tests {
         let mut block = BlockPrep::new();
         let mut prep = Prepared::empty();
         let mut ws = SearchWorkspace::new();
-        let preps = decode_block_into(
+        let preps = decode_block_budgeted_into(
             &det,
             &[],
+            &DecodeBudget::UNLIMITED,
             &mut scratch,
             &mut block,
             &mut prep,
@@ -337,9 +292,10 @@ mod tests {
         let det = SphereDecoder::<f64>::new(c.clone());
         let frames = coherence_block(&c, 4, 3, 10.0, 1);
         let mut out = vec![Detection::default(); 2];
-        decode_block_into(
+        decode_block_budgeted_into(
             &det,
             &frames,
+            &DecodeBudget::UNLIMITED,
             &mut PrepScratch::new(),
             &mut BlockPrep::new(),
             &mut Prepared::empty(),

@@ -122,7 +122,7 @@ pub trait PreparedDetector<F: Float>: Send + Sync {
     /// set in the stats. The default ignores the budget and runs the full
     /// decode — correct only for engines whose cost is a small constant
     /// (the linear family); every tree search (DFS, subtree-parallel,
-    /// best-first, BFS, K-best, FSD, and their quantized counterparts)
+    /// best-first, BFS, and K-best and FSD in float and fixed point)
     /// overrides it with a real budget check. Whenever the budget is not
     /// hit the output must be bit-identical to
     /// [`Self::detect_prepared_into`].

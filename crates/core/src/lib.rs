@@ -76,7 +76,7 @@ pub use arena::{NodeArena, SearchWorkspace};
 pub use batch::{batch_stats, decode_batch, decode_batch_reused, WorkspaceDetector};
 pub use best_first::BestFirstSd;
 pub use bfs::{BfsGemmSd, BfsLevelTrace};
-pub use block::{decode_block_budgeted_into, decode_block_fused_into, decode_block_into};
+pub use block::{decode_block_budgeted_into, decode_block_fused_into};
 pub use detector::{Detection, DetectionStats, Detector, SearchQuality};
 pub use dfs::SphereDecoder;
 pub use engine::{DecodeBudget, PreparedDetector};
@@ -91,9 +91,7 @@ pub use preprocess::{
     prepare_with_channel_into, preprocess, preprocess_ordered, preprocess_ordered_into, BlockPrep,
     ChannelObservables, ChannelPrep, ColumnOrdering, PrepScratch, Prepared,
 };
-pub use quantized::{
-    FxPrepared, QuantizedFsd, QuantizedKBestSd, QuantizedSphereDecoder, MAX_QUANT_DEGRADATION_DB,
-};
+pub use quantized::{FxPrepared, QuantizedFsd, QuantizedKBestSd, MAX_QUANT_DEGRADATION_DB};
 pub use radius::InitialRadius;
 pub use rvd::RvdSphereDecoder;
 pub use sd_math::fixed::MetricKind;

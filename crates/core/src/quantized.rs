@@ -3,20 +3,18 @@
 //!
 //! [`FxPrepared`] quantizes a QR-[`Prepared`] problem into the Q-format of
 //! [`sd_math::fixed`] (symbols Q3.12, `R` block-scaled to an 11-bit
-//! target, `ȳ` on the product grid), and three engines search it with the
+//! target, `ȳ` on the product grid), and two engines search it with the
 //! exact integer kernels of [`sd_math::fxkernel`]:
 //!
-//! * [`QuantizedSphereDecoder`] — depth-first with sorted children and
-//!   integer-strict pruning; exact ML *in the quantized domain*;
 //! * [`QuantizedKBestSd`] — level-synchronous K-best, the batched
 //!   fixed-throughput rung for the serve ladder;
 //! * [`QuantizedFsd`] — fixed-complexity: full expansion of the top
 //!   levels, then per-node argmin SIC, with no data-dependent control
 //!   flow at all (the hardware-shaped variant).
 //!
-//! K-best and FSD run one level sweep over a *survivor table* held in the
-//! caller's [`SearchWorkspace`]: a row per kept node with its path metric,
-//! its symbols and its **carried residual** `ŷ_j − Σ_l r̂_{j,l}·ŝ_l` for
+//! Both run one level sweep over a *survivor table* held in the caller's
+//! [`SearchWorkspace`]: a row per kept node with its path metric, its
+//! symbols and its **carried residual** `ŷ_j − Σ_l r̂_{j,l}·ŝ_l` for
 //! every level `j` below it. Expanding a level reads one residual per
 //! row; keeping a child subtracts its precomputed coupling products from
 //! the parent's residuals. Like a hardware FSD pipeline stage, a row
@@ -24,16 +22,14 @@
 //! covers `B ≥ 1` subcarriers that share `R`; a single vector is the
 //! sweep with `B = 1`.
 //!
-//! All three take [`MetricKind::L2`] (the ML metric) or
-//! [`MetricKind::LInf`] (Seethaler–Bölcskei infinity-norm, compares
-//! instead of multiplies). Both metrics are monotone non-decreasing along
-//! a path, so sphere pruning stays admissible — pinned by the proptests
-//! in `tests/quantized.rs`.
+//! Both take [`MetricKind::L2`] (the ML metric) or [`MetricKind::LInf`]
+//! (Seethaler–Bölcskei infinity-norm, compares instead of multiplies).
 //!
-//! The f64 engines remain the exactness oracle: quantization *rounds*, so
-//! the gate for these engines is not bit-identity with the float path but
-//! a measured BER degradation bound, [`MAX_QUANT_DEGRADATION_DB`]. Within
-//! the fixed domain, the sweeps are bit-identical to the plain oracles in
+//! The f64 engines remain the accuracy reference: quantization *rounds*,
+//! so the gate for these engines is not bit-identity with the float path
+//! but a measured BER degradation bound against the float engine of the
+//! same configuration, [`MAX_QUANT_DEGRADATION_DB`]. Within the fixed
+//! domain, the sweeps are bit-identical to the plain oracles in
 //! [`crate::reference`].
 //!
 //! `DetectionStats::flops` for these engines counts *integer* lane ops
@@ -45,7 +41,6 @@ use crate::block::decode_prepared_loop;
 use crate::detector::{Detection, DetectionStats, SearchQuality};
 use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
 use crate::preprocess::{BlockPrep, Prepared};
-use crate::radius::InitialRadius;
 use crate::select::keep_best_slice;
 use crate::trace::TraceSink;
 use sd_math::fixed::{
@@ -53,19 +48,23 @@ use sd_math::fixed::{
 };
 use sd_math::fxkernel::fx_metric_update;
 use sd_wireless::{Constellation, FrameData};
-use std::sync::Mutex;
-use std::time::Instant;
 
-/// Measured BER-degradation budget of the quantized engines against their
-/// f64 counterparts, in dB at the target BER of the standard
-/// 16×16/16-QAM grid (see `tests/quantized.rs` and EXPERIMENTS.md).
+/// BER-degradation budget of each served quantized rung against the f64
+/// engine of the same configuration, in dB of SNR at BER 10⁻²:
+/// [`QuantizedKBestSd`] against `KBestSd` at the same `K`, and
+/// [`QuantizedFsd`] against `FixedComplexitySd` with the same number of
+/// fully-expanded levels, both in ℓ2. `tests/quantized.rs` gates both with
+/// common random numbers on 8×8 QAM4 and 16-QAM (every `cargo test`) and
+/// on 16×16 16-QAM (release, via `ci.sh`); EXPERIMENTS.md records the
+/// measured costs.
 ///
-/// This is the acceptance gate for the Q-format chosen in
-/// [`sd_math::fixed`]: Q3.12 symbols against 11-bit block-scaled
-/// coefficients leave the quantization noise more than 30 dB below the
-/// channel noise at every SNR the sweep visits, so the measured penalty
-/// sits well inside this bound; the constant is the *contract*, the
-/// sweep is the evidence.
+/// The bound prices the Q-format of [`sd_math::fixed`] alone: Q3.12
+/// symbols against 11-bit block-scaled coefficients leave the
+/// quantization noise more than 30 dB below the channel noise at every
+/// SNR the sweeps visit. The ℓ∞ metric of the `fsd-fx-linf` rung is a
+/// metric choice, not rounding, and costs more than this bound; its
+/// penalty is measured, not gated. The constant is the *contract*, the
+/// sweeps are the evidence.
 pub const MAX_QUANT_DEGRADATION_DB: f64 = 0.2;
 
 /// Largest constellation order the integer engines take (64-QAM).
@@ -221,18 +220,6 @@ impl FxPrepared {
         v as f64 / self.metric_unit(metric)
     }
 
-    /// Convert a float bound to the fixed grid (rounded up, so the fixed
-    /// sphere is never smaller than the float one); infinite or
-    /// overflowing bounds saturate to `i64::MAX`.
-    pub fn fixed_bound(&self, metric: MetricKind, bound: f64) -> i64 {
-        let scaled = bound * self.metric_unit(metric);
-        if scaled.is_finite() && scaled < i64::MAX as f64 {
-            scaled.ceil() as i64
-        } else {
-            i64::MAX
-        }
-    }
-
     /// Residual `ŷ_d − Σ_l r̂_{d,l}·ŝ_l` of level `d = prefix.len()`,
     /// re-summed from the node's full depth-order path `prefix`.
     pub(crate) fn residual(&self, prefix: &[usize]) -> (i32, i32) {
@@ -259,8 +246,7 @@ impl FxPrepared {
     }
 
     /// Exact fixed-domain metric of a complete depth-order path — the
-    /// scalar oracle the engines (and the admissibility proptests) are
-    /// checked against.
+    /// scalar oracle the engines are checked against.
     pub fn leaf_metric(&self, path: &[usize], metric: MetricKind) -> i64 {
         assert_eq!(path.len(), self.n_tx);
         let mut acc = 0i64;
@@ -857,357 +843,11 @@ impl PreparedDetector<f64> for QuantizedFsd {
 
 impl_detector_via_prepared!(QuantizedFsd, "FSD fixed-i16");
 
-/// The depth-first engine's reused integer state (quantized problem,
-/// paths, sorted children).
-#[derive(Debug, Default)]
-struct FxState {
-    fx: FxPrepared,
-    inc: Vec<i64>,
-    /// Depth-order path under construction / best leaf.
-    path: Vec<usize>,
-    best_path: Vec<usize>,
-    children: Vec<(i64, usize)>,
-    /// Greedy completion's carried residuals.
-    res_re: Vec<i32>,
-    res_im: Vec<i32>,
-}
-
-/// Depth-first sphere decoding on the quantized problem: sorted children,
-/// integer pruning (`pd > min(bound, best)` discards a subtree), restart
-/// doubling on an empty sphere. Exact ML in the quantized domain — the
-/// engine the admissibility proptests drive.
-#[derive(Debug)]
-pub struct QuantizedSphereDecoder {
-    constellation: Constellation,
-    /// Path metric (ℓ2 or ℓ∞).
-    pub metric: MetricKind,
-    /// Initial-radius policy (resolved in float, converted to the grid).
-    pub initial_radius: InitialRadius,
-    state: Mutex<FxState>,
-}
-
-impl QuantizedSphereDecoder {
-    /// Quantized DFS decoder (ℓ2 metric, infinite initial radius).
-    pub fn new(constellation: Constellation) -> Self {
-        QuantizedSphereDecoder {
-            constellation,
-            metric: MetricKind::L2,
-            initial_radius: InitialRadius::Infinite,
-            state: Mutex::new(FxState::default()),
-        }
-    }
-
-    /// Builder: path metric.
-    pub fn with_metric(mut self, metric: MetricKind) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Builder: initial-radius policy.
-    pub fn with_initial_radius(mut self, policy: InitialRadius) -> Self {
-        self.initial_radius = policy;
-        self
-    }
-
-    /// One bounded DFS pass with a *fixed-domain* bound: returns the best
-    /// leaf whose fixed metric is ≤ `bound` (and its physical-order
-    /// indices), or `None` when the sphere is empty. No restarts — this
-    /// is the primitive the admissibility proptests exercise.
-    pub fn detect_prepared_bounded(
-        &self,
-        prep: &Prepared<f64>,
-        bound: i64,
-    ) -> Option<(i64, Vec<usize>)> {
-        let mut st = self.state.lock().expect("quantized state poisoned");
-        let st = &mut *st;
-        st.fx.quantize_from(prep);
-        let mut stats = DetectionStats::default();
-        stats.reset(prep.n_tx);
-        let best = dfs_bounded(
-            st,
-            self.metric,
-            bound,
-            &mut FxBudget::unlimited(),
-            &mut stats,
-            &mut None,
-        );
-        best.map(|b| {
-            let mut indices = Vec::new();
-            prep.indices_from_path_into(&st.best_path, &mut indices);
-            (b, indices)
-        })
-    }
-}
-
-/// Mutable budget ledger for the recursive integer DFS: the fixed-point
-/// analogue of the float DFS's in-struct budget fields. `tripped` latches
-/// so every frame of the recursion unwinds without charging further work.
-struct FxBudget {
-    max_nodes: u64,
-    deadline: Option<Instant>,
-    tripped: bool,
-}
-
-impl FxBudget {
-    fn unlimited() -> Self {
-        FxBudget {
-            max_nodes: u64::MAX,
-            deadline: None,
-            tripped: false,
-        }
-    }
-
-    fn from_budget(budget: &DecodeBudget) -> Self {
-        FxBudget {
-            max_nodes: budget.max_nodes,
-            deadline: budget.deadline,
-            tripped: false,
-        }
-    }
-
-    /// Latching trip check against work already charged to `stats`. The
-    /// deadline is sampled every 64 expansions so the common (node-only)
-    /// budget costs one integer compare per node.
-    #[inline]
-    fn tripping(&mut self, stats: &DetectionStats) -> bool {
-        if self.tripped {
-            return true;
-        }
-        if stats.nodes_generated >= self.max_nodes
-            || self
-                .deadline
-                .is_some_and(|d| (stats.nodes_expanded & 63) == 0 && Instant::now() >= d)
-        {
-            self.tripped = true;
-        }
-        self.tripped
-    }
-}
-
-/// Greedy completion from the root when a budget trips before any leaf
-/// was reached ([`fx_greedy_tail`] from the empty path). Leaves the leaf
-/// in `st.best_path` and returns its fixed-domain metric.
-fn fx_greedy_leaf(st: &mut FxState, metric: MetricKind, stats: &mut DetectionStats) -> i64 {
-    let FxState {
-        fx,
-        path,
-        best_path,
-        res_re,
-        res_im,
-        ..
-    } = st;
-    res_re.clear();
-    res_re.extend(fx.levels.iter().map(|l| l.y_re));
-    res_im.clear();
-    res_im.extend(fx.levels.iter().map(|l| l.y_im));
-    path.clear();
-    let pd = fx_greedy_tail(fx, metric, 0, path, res_re, res_im, stats);
-    stats.leaves_reached += 1;
-    stats.radius_updates += 1;
-    best_path.clone_from(path);
-    path.clear();
-    pd
-}
-
-/// Recursive bounded integer DFS over `st.fx`. Keeps a leaf when its
-/// metric is ≤ the *initial* bound and < the best found so far; prunes a
-/// subtree only when its prefix metric already exceeds that limit, which
-/// (by metric monotonicity) can never discard a qualifying leaf.
-fn dfs_bounded(
-    st: &mut FxState,
-    metric: MetricKind,
-    bound: i64,
-    budget: &mut FxBudget,
-    stats: &mut DetectionStats,
-    trace: &mut Option<Box<dyn TraceSink>>,
-) -> Option<i64> {
-    st.path.clear();
-    let mut best: Option<i64> = None;
-    descend(st, metric, 0, bound, budget, &mut best, stats, trace);
-    best
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    st: &mut FxState,
-    metric: MetricKind,
-    pd: i64,
-    bound: i64,
-    budget: &mut FxBudget,
-    best: &mut Option<i64>,
-    stats: &mut DetectionStats,
-    trace: &mut Option<Box<dyn TraceSink>>,
-) {
-    // Budget gate *before* charging this expansion, so an untripped
-    // budget leaves every counter bit-identical to the unbudgeted run.
-    if budget.tripping(stats) {
-        return;
-    }
-    let depth = st.path.len();
-    let m = st.fx.n_tx;
-    let p = st.fx.order;
-    stats.nodes_expanded += 1;
-    stats.nodes_generated += p as u64;
-    stats.per_level_generated[depth] += p as u64;
-    if let Some(t) = trace.as_deref_mut() {
-        t.on_expand(depth, 1, p as u64);
-    }
-
-    // Children of the current prefix: one scalar kernel row.
-    st.inc.clear();
-    st.inc.resize(p, 0);
-    st.fx.increments(&st.path, metric, &mut st.inc);
-    stats.flops += fx_level_ops(1, depth, p);
-    st.children.clear();
-    for c in 0..p {
-        st.children.push((metric.combine(pd, st.inc[c]), c));
-    }
-    let mut children = std::mem::take(&mut st.children);
-    children.sort_unstable();
-    if let Some(t) = trace.as_deref_mut() {
-        t.on_sort(depth, p as u64);
-    }
-
-    for (rank, &(child_pd, c)) in children.iter().enumerate() {
-        if budget.tripped {
-            break;
-        }
-        // Admissible cut: > the initial bound discards nothing ≤ bound;
-        // ≥ the running best only discards non-improving leaves.
-        if child_pd > bound || best.is_some_and(|b| child_pd >= b) {
-            stats.nodes_pruned += (p - rank) as u64;
-            if let Some(t) = trace.as_deref_mut() {
-                t.on_prune(depth, (p - rank) as u64);
-            }
-            break;
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            t.on_accept(depth, 1);
-        }
-        st.path.push(c);
-        if depth + 1 == m {
-            stats.leaves_reached += 1;
-            stats.radius_updates += 1;
-            *best = Some(child_pd);
-            st.best_path.clear();
-            st.best_path.extend_from_slice(&st.path);
-            if let Some(t) = trace.as_deref_mut() {
-                t.on_radius_update(depth, child_pd as f64);
-            }
-        } else {
-            descend(st, metric, child_pd, bound, budget, best, stats, trace);
-        }
-        st.path.pop();
-    }
-    st.children = children;
-}
-
-impl PreparedDetector<f64> for QuantizedSphereDecoder {
-    fn constellation(&self) -> &Constellation {
-        &self.constellation
-    }
-
-    fn channel_cacheable(&self) -> bool {
-        true
-    }
-
-    fn initial_radius_sqr(&self, n_rx: usize, noise_variance: f64) -> f64 {
-        self.initial_radius.resolve(n_rx, noise_variance)
-    }
-
-    fn detect_prepared_into(
-        &self,
-        prep: &Prepared<f64>,
-        radius_sqr: f64,
-        ws: &mut SearchWorkspace<f64>,
-        out: &mut Detection,
-    ) {
-        self.decode_budgeted(prep, radius_sqr, &DecodeBudget::UNLIMITED, ws, out);
-    }
-
-    fn detect_prepared_budgeted_into(
-        &self,
-        prep: &Prepared<f64>,
-        radius_sqr: f64,
-        budget: &DecodeBudget,
-        ws: &mut SearchWorkspace<f64>,
-        out: &mut Detection,
-    ) {
-        self.decode_budgeted(prep, radius_sqr, budget, ws, out);
-    }
-}
-
-impl QuantizedSphereDecoder {
-    fn decode_budgeted(
-        &self,
-        prep: &Prepared<f64>,
-        radius_sqr: f64,
-        decode_budget: &DecodeBudget,
-        ws: &mut SearchWorkspace<f64>,
-        out: &mut Detection,
-    ) {
-        let m = prep.n_tx;
-        out.stats.reset(m);
-        let mut st = self.state.lock().expect("quantized state poisoned");
-        let st = &mut *st;
-        st.fx.quantize_from(prep);
-        let trace = &mut ws.trace;
-        if let Some(t) = trace.as_deref_mut() {
-            t.on_decode_start(m);
-        }
-
-        let mut fx_budget = FxBudget::from_budget(decode_budget);
-        let mut bound = st.fx.fixed_bound(self.metric, radius_sqr);
-        let mut best;
-        loop {
-            best = dfs_bounded(
-                st,
-                self.metric,
-                bound,
-                &mut fx_budget,
-                &mut out.stats,
-                trace,
-            );
-            if fx_budget.tripped {
-                // Anytime exit: keep the best-so-far leaf, or complete
-                // one greedily when the trip came before any leaf. The
-                // spend is what the search cost *at the trip*; the
-                // greedy completion's extra work still lands in the
-                // plain counters. Never restart a truncated search.
-                let spent = out.stats.nodes_generated;
-                if best.is_none() {
-                    best = Some(fx_greedy_leaf(st, self.metric, &mut out.stats));
-                }
-                out.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
-                break;
-            }
-            if best.is_some() || bound == i64::MAX {
-                break;
-            }
-            out.stats.restarts += 1;
-            assert!(out.stats.restarts < 64, "runaway quantized restart loop");
-            if let Some(t) = trace.as_deref_mut() {
-                t.on_restart();
-            }
-            bound = bound
-                .saturating_mul(InitialRadius::RESTART_GROWTH as i64)
-                .max(1);
-        }
-        let best = best.expect("infinite sphere always contains a leaf");
-        out.stats.final_radius_sqr = st.fx.metric_to_f64(self.metric, best);
-        out.stats.flops += prep.prep_flops;
-        prep.indices_from_path_into(&st.best_path, &mut out.indices);
-    }
-}
-
-impl_detector_via_prepared!(QuantizedSphereDecoder, "SD DFS fixed-i16");
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::Detector;
     use crate::kbest::KBestSd;
-    use crate::ml::MlDetector;
     use crate::preprocess::preprocess;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1244,30 +884,6 @@ mod tests {
                 fx.leaf_metric(&[0; 6], MetricKind::L2),
                 fx2.leaf_metric(&[0; 6], MetricKind::L2)
             );
-        }
-    }
-
-    #[test]
-    fn quantized_dfs_matches_brute_force_both_metrics() {
-        for (seed, m) in [(2u64, Modulation::Qam4), (3, Modulation::Qam16)] {
-            let (c, fs) = frames(3, m, 10.0, 8, seed);
-            for metric in [MetricKind::L2, MetricKind::LInf] {
-                let sd = QuantizedSphereDecoder::new(c.clone()).with_metric(metric);
-                for f in &fs {
-                    let prep = preprocess::<f64>(f, &c);
-                    let det = sd.detect_prepared(&prep, f64::INFINITY);
-                    let mut fx = FxPrepared::new();
-                    fx.quantize_from(&prep);
-                    let (want, _) = fx.brute_force_min(metric);
-                    // Undo the physical-order mapping to score the leaf.
-                    let mut tree_path = vec![0usize; prep.n_tx];
-                    for (d, slot) in tree_path.iter_mut().enumerate() {
-                        *slot = det.indices[prep.perm[prep.n_tx - 1 - d]];
-                    }
-                    let got = fx.leaf_metric(&tree_path, metric);
-                    assert_eq!(got, want, "fixed metric must be ML-min");
-                }
-            }
         }
     }
 
@@ -1313,23 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_dfs_l2_matches_float_ml_on_most_frames() {
-        let (c, fs) = frames(4, Modulation::Qam16, 14.0, 30, 6);
-        let qsd = QuantizedSphereDecoder::new(c.clone());
-        let ml = MlDetector::new(c.clone());
-        let mut disagreements = 0;
-        for f in &fs {
-            if qsd.detect(f).indices != ml.detect(f).indices {
-                disagreements += 1;
-            }
-        }
-        assert!(
-            disagreements <= 2,
-            "quantized DFS diverged from float ML on {disagreements}/30 frames"
-        );
-    }
-
-    #[test]
     fn fsd_is_fixed_complexity_and_exact_when_everything_expands() {
         let (c, fs) = frames(4, Modulation::Qam4, 6.0, 10, 7);
         // n_fe = M: FSD degenerates to exhaustive search.
@@ -1361,43 +960,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_search_empty_sphere_returns_none() {
-        let (c, fs) = frames(3, Modulation::Qam4, 10.0, 3, 9);
-        let sd = QuantizedSphereDecoder::new(c.clone());
-        for f in &fs {
-            let prep = preprocess::<f64>(f, &c);
-            let mut fx = FxPrepared::new();
-            fx.quantize_from(&prep);
-            let (min, _) = fx.brute_force_min(MetricKind::L2);
-            if min > 0 {
-                assert!(sd.detect_prepared_bounded(&prep, min - 1).is_none());
-            }
-            let found = sd.detect_prepared_bounded(&prep, min);
-            assert_eq!(found.expect("min leaf is in the sphere").0, min);
-        }
-    }
-
-    #[test]
-    fn restart_loop_recovers_from_tiny_radius() {
-        let (c, fs) = frames(4, Modulation::Qam4, 10.0, 5, 10);
-        let tight = QuantizedSphereDecoder::new(c.clone())
-            .with_initial_radius(InitialRadius::ScaledNoise(1e-6));
-        let open = QuantizedSphereDecoder::new(c.clone());
-        for f in &fs {
-            let a = tight.detect(f);
-            let b = open.detect(f);
-            assert_eq!(a.indices, b.indices, "restarts must not change the answer");
-            assert!(a.stats.restarts > 0, "tiny radius must actually restart");
-        }
-    }
-
-    #[test]
     fn stats_invariants_hold() {
         let (c, fs) = frames(5, Modulation::Qam16, 12.0, 5, 11);
         let engines: Vec<Box<dyn PreparedDetector<f64>>> = vec![
             Box::new(QuantizedKBestSd::new(c.clone(), 8)),
             Box::new(QuantizedFsd::new(c.clone())),
-            Box::new(QuantizedSphereDecoder::new(c.clone())),
         ];
         for f in &fs {
             let prep = preprocess::<f64>(f, &c);
@@ -1433,96 +1000,5 @@ mod tests {
     #[should_panic(expected = "K must be positive")]
     fn zero_k_rejected() {
         let _ = QuantizedKBestSd::new(Constellation::new(Modulation::Qam4), 0);
-    }
-
-    /// An unexhausted budget must leave the quantized DFS bit-identical
-    /// to the unbudgeted decode — indices, stats, metric bits.
-    #[test]
-    fn generous_budget_is_bit_identical_in_fixed_point() {
-        use crate::engine::DecodeBudget;
-        let (c, fs) = frames(6, Modulation::Qam16, 10.0, 10, 13);
-        let sd = QuantizedSphereDecoder::new(c.clone());
-        let mut ws = SearchWorkspace::new();
-        let mut plain = Detection::default();
-        let mut budgeted = Detection::default();
-        for f in &fs {
-            let prep = preprocess::<f64>(f, &c);
-            sd.detect_prepared_into(&prep, f64::INFINITY, &mut ws, &mut plain);
-            let budget = DecodeBudget::nodes(plain.stats.nodes_generated + 1);
-            sd.detect_prepared_budgeted_into(&prep, f64::INFINITY, &budget, &mut ws, &mut budgeted);
-            assert_eq!(budgeted, plain, "unexhausted budget must change nothing");
-            assert_eq!(
-                budgeted.stats.quality,
-                crate::detector::SearchQuality::Exact
-            );
-            sd.detect_prepared_budgeted_into(
-                &prep,
-                f64::INFINITY,
-                &DecodeBudget::UNLIMITED,
-                &mut ws,
-                &mut budgeted,
-            );
-            assert_eq!(budgeted, plain);
-        }
-    }
-
-    /// A tight budget truncates the quantized DFS, flags the result, and
-    /// still returns a complete vector whose reported metric matches it.
-    #[test]
-    fn exhausted_budget_truncates_quantized_dfs() {
-        use crate::detector::SearchQuality;
-        use crate::engine::DecodeBudget;
-        let (c, fs) = frames(8, Modulation::Qam4, 4.0, 20, 14);
-        let sd = QuantizedSphereDecoder::new(c.clone());
-        let mut ws = SearchWorkspace::new();
-        let mut out = Detection::default();
-        let mut saw_truncation = false;
-        for f in &fs {
-            let prep = preprocess::<f64>(f, &c);
-            let full = sd.detect_prepared(&prep, f64::INFINITY);
-            let budget = DecodeBudget::nodes(full.stats.nodes_generated / 2);
-            sd.detect_prepared_budgeted_into(&prep, f64::INFINITY, &budget, &mut ws, &mut out);
-            assert_eq!(out.indices.len(), 8, "always a complete vector");
-            if let SearchQuality::BudgetTruncated { nodes_spent } = out.stats.quality {
-                saw_truncation = true;
-                assert!(nodes_spent >= budget.max_nodes);
-                // The reported radius is the returned leaf's fixed metric,
-                // and an anytime answer can never beat the exact one.
-                let mut fx = FxPrepared::new();
-                fx.quantize_from(&prep);
-                let tree_path: Vec<usize> = (0..prep.n_tx)
-                    .map(|d| out.indices[prep.perm[prep.n_tx - 1 - d]])
-                    .collect();
-                let leaf = fx.leaf_metric(&tree_path, MetricKind::L2);
-                let reported = fx.fixed_bound(MetricKind::L2, out.stats.final_radius_sqr);
-                assert!((leaf - reported).abs() <= 1);
-                assert!(out.stats.final_radius_sqr >= full.stats.final_radius_sqr - 1e-12);
-            }
-        }
-        assert!(saw_truncation, "half-spend budgets must trip somewhere");
-    }
-
-    /// A zero-node budget degenerates to the greedy (SIC) completion:
-    /// one leaf, complete vector, flagged truncated.
-    #[test]
-    fn zero_budget_is_greedy_completion_in_fixed_point() {
-        use crate::engine::DecodeBudget;
-        let (c, fs) = frames(6, Modulation::Qam4, 10.0, 5, 15);
-        let sd = QuantizedSphereDecoder::new(c.clone());
-        let mut ws = SearchWorkspace::new();
-        let mut out = Detection::default();
-        for f in &fs {
-            let prep = preprocess::<f64>(f, &c);
-            sd.detect_prepared_budgeted_into(
-                &prep,
-                f64::INFINITY,
-                &DecodeBudget::nodes(0),
-                &mut ws,
-                &mut out,
-            );
-            assert_eq!(out.indices.len(), 6);
-            assert_eq!(out.stats.leaves_reached, 1, "exactly the greedy leaf");
-            assert!(out.stats.quality.is_truncated());
-        }
     }
 }

@@ -17,8 +17,9 @@
 //!   *across node lanes* on split re/im `i16` planes into `i32`
 //!   accumulators;
 //! * [`fx_metric_update`] — residual-minus-seed and the ℓ2/ℓ∞ reduction,
-//!   vectorized *across child lanes*;
-//! * [`fx_expand_level`] — the fused per-level kernel the engines call.
+//!   vectorized *across child lanes*; the fixed-point engines call it
+//!   once per survivor row;
+//! * [`fx_expand_level_multi`] — both fused over a batch of open nodes.
 //!
 //! All arithmetic is exact in the containers chosen by [`crate::fixed`]
 //! (no rounding inside the kernels), so the portable lane-unrolled
@@ -158,127 +159,24 @@ pub fn fx_metric_update_portable(
 }
 
 /// Fused per-level expansion: suffix CMAC over `depth` rows, then the
-/// metric update for all `b × p` (node, child) pairs.
+/// metric update for all `b × p` (node, child) pairs, each node against
+/// its own received component.
 ///
 /// * `a_*` — quantized suffix coefficients of this level's `R` row,
 ///   deepest ancestor first (`len = depth`);
 /// * `s_*` — compressed suffix symbol planes, row-major `depth × b`
 ///   (row `off`, column `node`), same layout as the float batcher;
-/// * `y_*` — this level's quantized received component;
+/// * `y_*` — per-node quantized received component (`len ≥ b`);
 /// * `seed_*` — per-child seeds `r̂_ii ⊗ ŝ_c` (`len ≥ p`);
 /// * `w_*` — caller scratch (`len ≥ b`), overwritten;
 /// * `out` — `b × p` row-major increments.
-#[allow(clippy::too_many_arguments)]
-pub fn fx_expand_level(
-    a_re: &[i16],
-    a_im: &[i16],
-    s_re: &[i16],
-    s_im: &[i16],
-    b: usize,
-    y_re: i32,
-    y_im: i32,
-    seed_re: &[i32],
-    seed_im: &[i32],
-    metric: MetricKind,
-    w_re: &mut [i32],
-    w_im: &mut [i32],
-    out: &mut [i64],
-) {
-    let depth = a_re.len();
-    let p = seed_re.len();
-    assert_eq!(a_im.len(), depth);
-    assert_eq!(seed_im.len(), p);
-    assert!(s_re.len() >= depth * b && s_im.len() >= depth * b);
-    assert!(w_re.len() >= b && w_im.len() >= b);
-    assert!(out.len() >= b * p);
-    w_re[..b].fill(0);
-    w_im[..b].fill(0);
-    for off in 0..depth {
-        let row = off * b;
-        fx_suffix_cmac(
-            a_re[off],
-            a_im[off],
-            &s_re[row..row + b],
-            &s_im[row..row + b],
-            &mut w_re[..b],
-            &mut w_im[..b],
-        );
-    }
-    for bi in 0..b {
-        let u_re = y_re - w_re[bi];
-        let u_im = y_im - w_im[bi];
-        fx_metric_update(
-            u_re,
-            u_im,
-            seed_re,
-            seed_im,
-            metric,
-            &mut out[bi * p..(bi + 1) * p],
-        );
-    }
-}
-
-/// Fully-portable variant of [`fx_expand_level`] (never dispatches to
-/// intrinsics) — the oracle for the bit-identity tests.
-#[allow(clippy::too_many_arguments)]
-pub fn fx_expand_level_portable(
-    a_re: &[i16],
-    a_im: &[i16],
-    s_re: &[i16],
-    s_im: &[i16],
-    b: usize,
-    y_re: i32,
-    y_im: i32,
-    seed_re: &[i32],
-    seed_im: &[i32],
-    metric: MetricKind,
-    w_re: &mut [i32],
-    w_im: &mut [i32],
-    out: &mut [i64],
-) {
-    let depth = a_re.len();
-    let p = seed_re.len();
-    assert_eq!(a_im.len(), depth);
-    assert_eq!(seed_im.len(), p);
-    assert!(s_re.len() >= depth * b && s_im.len() >= depth * b);
-    assert!(w_re.len() >= b && w_im.len() >= b);
-    assert!(out.len() >= b * p);
-    w_re[..b].fill(0);
-    w_im[..b].fill(0);
-    for off in 0..depth {
-        let row = off * b;
-        fx_suffix_cmac_portable(
-            a_re[off],
-            a_im[off],
-            &s_re[row..row + b],
-            &s_im[row..row + b],
-            &mut w_re[..b],
-            &mut w_im[..b],
-        );
-    }
-    for bi in 0..b {
-        fx_metric_update_portable(
-            y_re - w_re[bi],
-            y_im - w_im[bi],
-            seed_re,
-            seed_im,
-            metric,
-            &mut out[bi * p..(bi + 1) * p],
-        );
-    }
-}
-
-/// [`fx_expand_level`] with a *per-node* received component: node `bi`
-/// subtracts `y_re[bi]/y_im[bi]` instead of one shared scalar.
 ///
-/// This is the fixed-point half of cross-subcarrier fusion: a whole
-/// coherence block shares `R` (hence `a_*`, the seeds and the symbol
-/// planes' alphabet), so the frontiers of all its subcarriers can be
-/// stacked into one node axis and expanded in ONE kernel call per tree
-/// level — the only per-subcarrier input is ŷ, which enters at the final
+/// A whole coherence block shares `R` (hence `a_*`, the seeds and the
+/// symbol planes' alphabet), so the frontiers of all its subcarriers can
+/// be stacked into one node axis and expanded in one call per tree level;
+/// the only per-subcarrier input is ŷ, which enters at the final
 /// residual. The suffix CMAC never reads ŷ, so every node's increments
-/// are bit-identical to a per-subcarrier [`fx_expand_level`] call with
-/// the matching scalar ŷ (pinned by tests).
+/// equal a call on that subcarrier's nodes alone (pinned by tests).
 #[allow(clippy::too_many_arguments)]
 pub fn fx_expand_level_multi(
     a_re: &[i16],
@@ -593,16 +491,17 @@ mod tests {
                 let want = expand_reference(
                     &a_re, &a_im, &s_re, &s_im, b, y_re, y_im, &seed_re, &seed_im, metric,
                 );
+                let (ys_re, ys_im) = (vec![y_re; b], vec![y_im; b]);
                 let mut w_re = vec![0i32; b];
                 let mut w_im = vec![0i32; b];
                 let mut out = vec![0i64; b * p];
-                fx_expand_level(
-                    &a_re, &a_im, &s_re, &s_im, b, y_re, y_im, &seed_re, &seed_im, metric,
+                fx_expand_level_multi(
+                    &a_re, &a_im, &s_re, &s_im, b, &ys_re, &ys_im, &seed_re, &seed_im, metric,
                     &mut w_re, &mut w_im, &mut out,
                 );
                 assert_eq!(out, want, "dispatch kernel (depth={depth} b={b} p={p})");
-                fx_expand_level_portable(
-                    &a_re, &a_im, &s_re, &s_im, b, y_re, y_im, &seed_re, &seed_im, metric,
+                fx_expand_level_multi_portable(
+                    &a_re, &a_im, &s_re, &s_im, b, &ys_re, &ys_im, &seed_re, &seed_im, metric,
                     &mut w_re, &mut w_im, &mut out,
                 );
                 assert_eq!(out, want, "portable kernel (depth={depth} b={b} p={p})");
@@ -622,17 +521,18 @@ mod tests {
             let p = [2, 4, 8, 16, 64][trial % 5];
             let (a_re, a_im, s_re, s_im, y_re, y_im, seed_re, seed_im) =
                 random_problem(&mut rng, depth, b, p);
+            let (ys_re, ys_im) = (vec![y_re; b], vec![y_im; b]);
             for metric in [MetricKind::L2, MetricKind::LInf] {
                 let mut w1 = (vec![0i32; b], vec![0i32; b]);
                 let mut w2 = (vec![0i32; b], vec![0i32; b]);
                 let mut o1 = vec![0i64; b * p];
                 let mut o2 = vec![0i64; b * p];
-                fx_expand_level(
-                    &a_re, &a_im, &s_re, &s_im, b, y_re, y_im, &seed_re, &seed_im, metric,
+                fx_expand_level_multi(
+                    &a_re, &a_im, &s_re, &s_im, b, &ys_re, &ys_im, &seed_re, &seed_im, metric,
                     &mut w1.0, &mut w1.1, &mut o1,
                 );
-                fx_expand_level_portable(
-                    &a_re, &a_im, &s_re, &s_im, b, y_re, y_im, &seed_re, &seed_im, metric,
+                fx_expand_level_multi_portable(
+                    &a_re, &a_im, &s_re, &s_im, b, &ys_re, &ys_im, &seed_re, &seed_im, metric,
                     &mut w2.0, &mut w2.1, &mut o2,
                 );
                 assert_eq!(o1, o2, "trial {trial} metric {metric:?}");
@@ -681,8 +581,9 @@ mod tests {
         }
     }
 
-    /// The multi-ŷ kernel on stacked lanes must match one scalar-ŷ call
-    /// per lane group, bit for bit — the fixed-point fusion lemma.
+    /// The multi-ŷ kernel on stacked lanes must match the scalar reference
+    /// of each lane group on its own ŷ, bit for bit — the fixed-point
+    /// fusion lemma.
     #[test]
     fn multi_y_kernel_matches_per_scalar_calls() {
         let mut rng = StdRng::seed_from_u64(61);
@@ -726,7 +627,7 @@ mod tests {
                     &mut portable,
                 );
                 assert_eq!(fused, portable, "dispatch vs portable, depth={depth}");
-                // Per-block scalar-ŷ calls on the narrow slices.
+                // Per-block scalar-ŷ references on the narrow slices.
                 for blk in 0..blocks {
                     let mut nar_s_re = vec![0i16; depth * fl];
                     let mut nar_s_im = vec![0i16; depth * fl];
@@ -736,10 +637,7 @@ mod tests {
                             nar_s_im[off * fl + l] = s_im[off * b + blk * fl + l];
                         }
                     }
-                    let mut wr = vec![0i32; fl];
-                    let mut wi = vec![0i32; fl];
-                    let mut want = vec![0i64; fl * p];
-                    fx_expand_level(
+                    let want = expand_reference(
                         &a_re,
                         &a_im,
                         &nar_s_re,
@@ -750,9 +648,6 @@ mod tests {
                         &seed_re,
                         &seed_im,
                         metric,
-                        &mut wr,
-                        &mut wi,
-                        &mut want,
                     );
                     assert_eq!(
                         &fused[blk * fl * p..(blk + 1) * fl * p],

@@ -54,7 +54,7 @@ pub use condition::{condition_estimate, smallest_singular_estimate, spectral_nor
 pub use f16::F16;
 pub use fixed::MetricKind;
 pub use float::Float;
-pub use fxkernel::{fx_expand_level, fx_expand_level_multi, fx_metric_update, fx_suffix_cmac};
+pub use fxkernel::{fx_expand_level_multi, fx_metric_update, fx_suffix_cmac};
 pub use gemm::{
     gemm, gemm_acc_into, gemm_broadcast_acc_into, gemm_broadcast_acc_stacked_into, gemm_flops,
     gemm_into, GemmAlgo,

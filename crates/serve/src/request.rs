@@ -232,8 +232,9 @@ pub enum RejectReason {
 /// What makes a subcarrier undecodable ([`RejectReason::Malformed`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Defect {
-    /// Its shape is not `1 ≤ n_tx ≤ n_rx == y.len()`, it differs from the
-    /// block channel's, or the block has no subcarriers at all.
+    /// Its shape is not `1 ≤ n_tx ≤ n_rx == y.len()`, its `H` is not the
+    /// block channel (subcarrier 0's), or the block has no subcarriers at
+    /// all.
     Shape,
     /// `H` or `y` holds a NaN or an infinity, or `σ²` is not finite and
     /// non-negative.
@@ -251,7 +252,9 @@ impl std::fmt::Display for RejectReason {
             RejectReason::ShuttingDown => write!(f, "runtime shutting down"),
             RejectReason::Malformed { subcarrier, defect } => {
                 let what = match defect {
-                    Defect::Shape => "its shape is not 1 ≤ n_tx ≤ n_rx == y.len()",
+                    Defect::Shape => {
+                        "its shape is not 1 ≤ n_tx ≤ n_rx == y.len(), or its H is not the block's"
+                    }
                     Defect::Value => "H, y or σ² is not finite, or σ² < 0",
                 };
                 write!(f, "subcarrier {subcarrier} is malformed: {what}")

@@ -488,11 +488,12 @@ fn split_capacity(total: usize, n: usize) -> Vec<usize> {
 }
 
 /// Check that a block can be decoded, and return its channel's
-/// [`crate::route_hash`]: every subcarrier must have the shape
-/// `1 ≤ n_tx ≤ n_rx == y.len()` of the block channel, finite `H` and `y`,
-/// and a finite, non-negative `σ²`. The channel's finiteness is tested in
-/// the hash's own pass over its words, and the subcarriers of a frame share
-/// that channel, so what validation adds is one pass over each `y`.
+/// [`crate::route_hash`]: every subcarrier must carry the block channel
+/// (subcarrier 0's `H`, equal by the `==` that [`FrameRequest::new`]
+/// asserts), of shape `1 ≤ n_tx ≤ n_rx == y.len()`, with finite `H` and
+/// `y` and a finite, non-negative `σ²`. The channel's finiteness is tested
+/// in the hash's own pass over its words; what validation adds is one pass
+/// over each later subcarrier's `H` and over each `y`.
 fn validate(frames: &[FrameData]) -> Result<u64, RejectReason> {
     let malformed = |subcarrier, defect| RejectReason::Malformed { subcarrier, defect };
     let Some(first) = frames.first() else {
@@ -501,7 +502,7 @@ fn validate(frames: &[FrameData]) -> Result<u64, RejectReason> {
     let (n_rx, n_tx) = first.h.shape();
     let (hash, h_finite) = route_hash_finite(&first.h);
     for (k, f) in frames.iter().enumerate() {
-        if f.h.shape() != (n_rx, n_tx) || f.y.len() != n_rx || !(1..=n_rx).contains(&n_tx) {
+        if (k > 0 && f.h != first.h) || f.y.len() != n_rx || !(1..=n_rx).contains(&n_tx) {
             return Err(malformed(k, Defect::Shape));
         }
         let y_finite = f.y.iter().all(|c| c.re.is_finite() && c.im.is_finite());

@@ -49,9 +49,9 @@ pub mod prelude {
         batch::{batch_stats, decode_batch, decode_batch_reused, WorkspaceDetector},
         BestFirstSd, BfsGemmSd, ColumnOrdering, Detection, DetectionStats, Detector, EvalStrategy,
         FixedComplexitySd, InitialRadius, KBestSd, MetricKind, MlDetector, MmseDetector,
-        MrcDetector, ParallelSphereDecoder, QuantizedFsd, QuantizedKBestSd, QuantizedSphereDecoder,
-        RvdSphereDecoder, SearchWorkspace, SoftDetection, SoftSphereDecoder, SphereDecoder,
-        StatPruningSd, SubtreeParallelSd, ZfDetector,
+        MrcDetector, ParallelSphereDecoder, QuantizedFsd, QuantizedKBestSd, RvdSphereDecoder,
+        SearchWorkspace, SoftDetection, SoftSphereDecoder, SphereDecoder, StatPruningSd,
+        SubtreeParallelSd, ZfDetector,
     };
     pub use sd_fpga::{
         estimate_resources, CpuPowerModel, FpgaConfig, FpgaPowerModel, FpgaSphereDecoder,

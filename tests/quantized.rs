@@ -1,102 +1,27 @@
-//! Cross-crate tests for the fixed-point decode path: ℓ∞/ℓ2 pruning
-//! admissibility against brute-force fixed-domain oracles, and the BER
-//! gate that licenses the quantized engines as serve-ladder rungs.
+//! Cross-crate tests for the fixed-point decode path: the served K-best
+//! and FSD sweeps against their plain oracles, bit for bit, and the BER
+//! gate that licenses them as serve-ladder rungs.
 //!
-//! The BER methodology uses common random numbers: the float oracle and
-//! the quantized candidate decode the *same* frame realizations
-//! ([`run_link`] regenerates identically from the config seed), so the
-//! measured SNR gap at the target BER is the quantization cost alone,
-//! not Monte-Carlo variance between two independent sweeps.
+//! The BER gate uses common random numbers: each quantized rung and the
+//! float engine of the same configuration decode the *same* frame
+//! realizations ([`run_link`] regenerates identically from the config
+//! seed), so the measured SNR gap at the target BER is the quantization
+//! cost alone, not Monte-Carlo variance between two independent sweeps.
 
 use mimo_sd::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sd_core::preprocess::{preprocess, BlockPrep, PrepScratch, Prepared};
-use sd_core::quantized::{FxPrepared, QuantizedSphereDecoder};
+use sd_core::preprocess::{BlockPrep, PrepScratch, Prepared};
 use sd_core::{
     decode_block_fused_into, reference, DecodeBudget, Detection, MetricKind, PreparedDetector,
     QuantizedFsd, QuantizedKBestSd, MAX_QUANT_DEGRADATION_DB,
 };
+use sd_serve::LadderConfig;
 use sd_wireless::degradation_db;
-
-fn make_frame(n: usize, m: Modulation, snr_db: f64, seed: u64) -> (Constellation, FrameData) {
-    let c = Constellation::new(m);
-    let sigma2 = noise_variance(snr_db, n);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let f = FrameData::generate(n, n, &c, sigma2, &mut rng);
-    (c, f)
-}
-
-fn modulation() -> impl Strategy<Value = Modulation> {
-    prop_oneof![
-        Just(Modulation::Bpsk),
-        Just(Modulation::Qam4),
-        Just(Modulation::Qam16),
-    ]
-}
 
 fn metric() -> impl Strategy<Value = MetricKind> {
     prop_oneof![Just(MetricKind::L2), Just(MetricKind::LInf)]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Pruning admissibility, directly: a bounded search must return the
-    /// brute-force optimum whenever the bound admits it (the sphere
-    /// constraint never discards a leaf with metric ≤ b), and must
-    /// report an empty sphere whenever no leaf qualifies.
-    #[test]
-    fn bounded_search_is_admissible(
-        n in 2usize..6,
-        m in modulation(),
-        snr_db in 2.0f64..20.0,
-        seed in any::<u64>(),
-        metric in metric(),
-        slack in 0i64..3,
-    ) {
-        // Keep the brute-force oracle tractable: P^M ≤ 4096.
-        prop_assume!(m.order().pow(n as u32) <= 4096);
-        let (c, frame) = make_frame(n, m, snr_db, seed);
-        let prep = preprocess::<f64>(&frame, &c);
-        let mut fx = FxPrepared::new();
-        fx.quantize_from(&prep);
-        let (min, _) = fx.brute_force_min(metric);
-
-        let sd = QuantizedSphereDecoder::new(c).with_metric(metric);
-        // Bound at or above the optimum: the optimum must survive.
-        let found = sd.detect_prepared_bounded(&prep, min.saturating_add(slack));
-        prop_assert_eq!(found.map(|(v, _)| v), Some(min));
-        // Bound strictly below every leaf: the sphere is empty. A search
-        // that pruned inadmissibly could not tell these cases apart.
-        prop_assert_eq!(sd.detect_prepared_bounded(&prep, min - 1), None);
-    }
-
-    /// The unbounded ℓ∞ (and ℓ2) engine lands exactly on the fixed-domain
-    /// brute-force minimum — max-combined metrics stay monotone along
-    /// paths, so sorted-DFS pruning loses nothing.
-    #[test]
-    fn quantized_dfs_matches_brute_force_oracle(
-        n in 2usize..6,
-        m in modulation(),
-        snr_db in 2.0f64..20.0,
-        seed in any::<u64>(),
-        metric in metric(),
-    ) {
-        prop_assume!(m.order().pow(n as u32) <= 4096);
-        let (c, frame) = make_frame(n, m, snr_db, seed);
-        let prep = preprocess::<f64>(&frame, &c);
-        let mut fx = FxPrepared::new();
-        fx.quantize_from(&prep);
-        let (min, _) = fx.brute_force_min(metric);
-
-        let sd = QuantizedSphereDecoder::new(c).with_metric(metric);
-        let (found, _) = sd
-            .detect_prepared_bounded(&prep, i64::MAX)
-            .expect("unbounded sphere cannot be empty");
-        prop_assert_eq!(found, min);
-    }
 }
 
 /// `b` subcarriers sharing one channel, each with its own symbols and
@@ -246,48 +171,88 @@ fn sweep(
     curve
 }
 
-fn assert_quantized_within_bound(n: usize, snrs: &[f64], frames: usize, target_ber: f64) {
-    let c = Constellation::new(Modulation::Qam16);
-
-    let oracle: SphereDecoder<f64> = SphereDecoder::new(c.clone());
-    let mut ws = SearchWorkspace::new();
-    let float_curve = sweep("sd-f64", n, Modulation::Qam16, snrs, frames, |f| {
-        oracle.detect_in(f, &mut ws).indices
-    });
-
-    let quant = QuantizedSphereDecoder::new(c);
-    let fixed_curve = sweep("sd-fx-i16", n, Modulation::Qam16, snrs, frames, |f| {
-        quant.detect_frame(f).indices
-    });
-
-    assert!(
-        float_curve.is_monotone_nonincreasing(0.5),
-        "oracle curve not monotone: {float_curve:?}"
-    );
-    let d = degradation_db(&float_curve, &fixed_curve, target_ber).unwrap_or_else(|| {
-        panic!(
-            "BER {target_ber} not crossed in the measured span:\n{float_curve:?}\n{fixed_curve:?}"
-        )
-    });
-    assert!(
-        d <= MAX_QUANT_DEGRADATION_DB,
-        "quantized path degrades {d:.3} dB at BER {target_ber} \
-         (bound {MAX_QUANT_DEGRADATION_DB} dB)\n{float_curve:?}\n{fixed_curve:?}"
-    );
+/// SNR points `lo, lo + 2, …, hi` dB.
+fn span(lo: u32, hi: u32) -> Vec<f64> {
+    (lo..=hi).step_by(2).map(f64::from).collect()
 }
 
-/// The gate that licenses the fixed-point engines: ≤ 0.2 dB SNR penalty
-/// vs the f64 exact oracle at the target BER (cheap 8×8 variant, always
-/// run).
+/// Target BER of the quantization contract.
+const TARGET_BER: f64 = 1e-2;
+
+/// A float or fixed-point engine behind the one engine trait.
+type Engine = Box<dyn PreparedDetector<f64>>;
+
+/// The served fixed-point rungs, each with the float engine of the same
+/// configuration, both in ℓ2: K-best at the ladder's `K`, and FSD with one
+/// fully-expanded level (the sweep the `fsd-fx-linf` rung runs in ℓ∞, in
+/// the metric the float FSD shares).
+fn served_rungs(c: &Constellation) -> [(&'static str, Engine, Engine); 2] {
+    let k = LadderConfig::default().kbest_k;
+    [
+        (
+            "k-best-fx",
+            Box::new(KBestSd::<f64>::new(c.clone(), k)),
+            Box::new(QuantizedKBestSd::new(c.clone(), k).with_metric(MetricKind::L2)),
+        ),
+        (
+            "fsd-fx",
+            Box::new(FixedComplexitySd::<f64>::new(c.clone()).with_full_expansion(1)),
+            Box::new(
+                QuantizedFsd::new(c.clone())
+                    .with_full_expansion_levels(1)
+                    .with_metric(MetricKind::L2),
+            ),
+        ),
+    ]
+}
+
+/// The quantization contract on one grid: every served rung may cost at
+/// most [`MAX_QUANT_DEGRADATION_DB`] of SNR at [`TARGET_BER`] against its
+/// float twin on the same frames. A curve that never crosses the target
+/// inside `snrs` fails.
+fn assert_served_rungs_within_bound(n: usize, modulation: Modulation, snrs: &[f64], frames: usize) {
+    let c = Constellation::new(modulation);
+    for (rung, float, fixed) in served_rungs(&c) {
+        let mut ws = SearchWorkspace::new();
+        let mut curve = |label: &str, det: &dyn PreparedDetector<f64>| {
+            sweep(label, n, modulation, snrs, frames, |f| {
+                det.detect_frame_in(f, &mut ws).indices
+            })
+        };
+        let float_curve = curve("f64", &*float);
+        let fixed_curve = curve(rung, &*fixed);
+        let grid = format!("{rung} at {n}x{n} {modulation:?}");
+        assert!(
+            float_curve.is_monotone_nonincreasing(0.5),
+            "{grid}: float curve not monotone: {float_curve:?}"
+        );
+        let d = degradation_db(&float_curve, &fixed_curve, TARGET_BER).unwrap_or_else(|| {
+            panic!(
+                "{grid}: BER {TARGET_BER} not crossed in the measured span:\n\
+                 {float_curve:?}\n{fixed_curve:?}"
+            )
+        });
+        eprintln!("{grid}: quantization cost {d:+.3} dB at BER {TARGET_BER}");
+        assert!(
+            d <= MAX_QUANT_DEGRADATION_DB,
+            "{grid}: quantization costs {d:.3} dB at BER {TARGET_BER} \
+             (bound {MAX_QUANT_DEGRADATION_DB} dB)\n{float_curve:?}\n{fixed_curve:?}"
+        );
+    }
+}
+
+/// The gate that licenses the fixed-point rungs on the 8×8 grids, 600
+/// frames per SNR point: cheap enough for every `cargo test`.
 #[test]
 fn quantized_ber_degradation_within_bound_8x8() {
-    assert_quantized_within_bound(8, &[14.0, 16.0, 18.0, 20.0, 22.0], 120, 1e-2);
+    assert_served_rungs_within_bound(8, Modulation::Qam4, &span(6, 20), 600);
+    assert_served_rungs_within_bound(8, Modulation::Qam16, &span(14, 28), 600);
 }
 
-/// The paper's 16×16/16-QAM operating point. Expensive (exact DFS at low
-/// SNR): run in release via `ci.sh`.
+/// The paper's 16×16/16-QAM operating point at 600 frames per SNR point:
+/// run in release via `ci.sh`.
 #[test]
 #[ignore = "release-mode BER sweep; run via ci.sh"]
 fn quantized_ber_degradation_within_bound_16x16() {
-    assert_quantized_within_bound(16, &[16.0, 18.0, 20.0, 22.0], 150, 1e-2);
+    assert_served_rungs_within_bound(16, Modulation::Qam16, &span(14, 32), 600);
 }

@@ -422,7 +422,8 @@ fn same_channel_runs_are_bit_identical_to_direct_decodes() {
 /// `H`, an infinity in `y`, a `y` one entry short — are refused at
 /// admission with a typed reason and counted; a good request after them
 /// is served bit-identically to a direct decode, and shutdown is clean.
-/// Malformed frames are refused the same way.
+/// Malformed frames are refused the same way, a frame whose subcarriers
+/// carry two different channels among them.
 #[test]
 fn malformed_requests_are_refused_and_serving_continues() {
     let cfg = workload();
@@ -470,6 +471,24 @@ fn malformed_requests_are_refused_and_serving_continues() {
         }
     );
     assert_eq!(rej.request.block_len(), 4, "the frame comes back intact");
+    // A frame built field by field whose second subcarrier carries another
+    // finite channel is refused too: no worker ever sees a mixed block.
+    let mut sc = vec![good.frame.clone(); 2];
+    sc[1].h[(0, 0)].re += 0.5;
+    let frame = FrameRequest {
+        id: 100,
+        subcarriers: sc,
+        snr_db: good.snr_db,
+        deadline: good.deadline,
+    };
+    let rej = rt.submit_frame(frame).expect_err("mixed channels");
+    assert_eq!(
+        rej.reason,
+        RejectReason::Malformed {
+            subcarrier: 1,
+            defect: Defect::Shape
+        }
+    );
 
     let want = direct(&*tiers[0].detector, &good.frame);
     rt.submit(good).expect("a good request is admitted");
@@ -482,7 +501,7 @@ fn malformed_requests_are_refused_and_serving_continues() {
     assert!(leftover.is_empty());
     assert_eq!(
         snap.rejected_malformed,
-        5 + 4,
+        5 + 4 + 2,
         "vectors refused as malformed"
     );
     assert_eq!(snap.accepted, 1);
