@@ -35,12 +35,21 @@ echo "==> exact DFS bit-identity (release)"
 # there). Its decisions must equal the natural order's (both are ML), and
 # the sorted QR must be the natural QR of the permuted channel, bit for
 # bit, through the fused, split and block preparations.
+# The Householder kernel under every preparation updates its columns (and
+# a block's receive vectors) side by side in lanes, which vectorize only
+# in this codegen. Each lane must keep its own column's scalar operation
+# order: w = 0, then per row in order mul_acc(w, conj(v_i), x_i), that is
+# four fused multiply-adds in mul_acc's order; then w = w*tau; then per
+# row x_i -= w*v_i, the complex product and then the subtraction. The
+# oracle proptest pins R, the sorted permutation, Q^H y, the tail and the
+# block apply to the scalar sweep on every shape up to 18x16 and 64x8.
 cargo test -q --release --test bit_identity --test arena_vs_reference \
   --test parallel_exactness
 cargo test -q --release --test telemetry traced_decode_equals_untraced
 cargo test -q --release --test extensions ordering_never_changes_the_answer
 cargo test -q --release -p sd-core --lib preprocess
 cargo test -q --release -p sd-math --lib sorted_qr
+cargo test -q --release -p sd-math --lib kernel_is_bit_identical_to_the_scalar_oracle
 
 echo "==> parallel determinism stress (SD_STRESS_ITERS=200)"
 # The subtree-parallel decoder must return bit-identical answers on every

@@ -8,8 +8,10 @@
 //! Measurement model: each sample times a batch of iterations (batch size
 //! auto-calibrated so one batch takes ≳1 ms), the configured number of
 //! samples is collected after a short warm-up, and the *median* ns/iter is
-//! reported. Results also accumulate in [`Criterion::results`] so callers
-//! (e.g. the expansion bench) can serialize them after running.
+//! reported with its spread — the median absolute deviation of the
+//! samples — and the sample count. Results also accumulate in
+//! [`Criterion::results`] so callers (e.g. the expansion bench) can
+//! serialize them after running.
 
 use std::fmt::Display;
 use std::hint::black_box as std_black_box;
@@ -63,6 +65,10 @@ pub struct BenchResult {
     pub id: String,
     /// Median wall-clock nanoseconds per iteration.
     pub ns_per_iter: f64,
+    /// Median absolute deviation of the samples' ns/iter from the median.
+    pub mad_ns: f64,
+    /// Timed samples behind the median.
+    pub samples: usize,
     /// Group throughput annotation, if any.
     pub throughput: Option<Throughput>,
 }
@@ -150,11 +156,14 @@ impl BenchmarkGroup<'_> {
             sample_size: self.sample_size,
         };
         f(&mut bencher);
-        let ns = bencher.median_ns();
-        eprintln!("bench {full_id:<56} {ns:>14.1} ns/iter");
+        let (ns, mad_ns) = bencher.median_mad_ns();
+        let samples = bencher.samples.len();
+        eprintln!("bench {full_id:<56} {ns:>14.1} ns/iter (MAD {mad_ns:.1}, n={samples})");
         self.criterion.results.push(BenchResult {
             id: full_id,
             ns_per_iter: ns,
+            mad_ns,
+            samples,
             throughput: self.throughput,
         });
         self
@@ -215,11 +224,16 @@ impl Bencher {
         }
     }
 
-    fn median_ns(&self) -> f64 {
-        let mut s = self.samples.clone();
-        assert!(!s.is_empty(), "Bencher::iter was never called");
-        s.sort_unstable_by(f64::total_cmp);
-        s[s.len() / 2]
+    /// Median of the samples and their median absolute deviation from it.
+    fn median_mad_ns(&self) -> (f64, f64) {
+        assert!(!self.samples.is_empty(), "Bencher::iter was never called");
+        let median = |mut s: Vec<f64>| {
+            s.sort_unstable_by(f64::total_cmp);
+            s[s.len() / 2]
+        };
+        let mid = median(self.samples.clone());
+        let mad = median(self.samples.iter().map(|x| (x - mid).abs()).collect());
+        (mid, mad)
     }
 }
 
@@ -268,7 +282,20 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].id, "demo/sum/1000");
         assert!(results[0].ns_per_iter > 0.0);
+        assert_eq!(results[0].samples, 3);
+        assert!(results[0].mad_ns >= 0.0 && results[0].mad_ns.is_finite());
         assert!(results[0].per_second().unwrap() > 0.0);
+    }
+
+    /// The spread is the median absolute deviation from the median.
+    #[test]
+    fn mad_is_the_median_absolute_deviation() {
+        let b = Bencher {
+            samples: vec![10.0, 12.0, 11.0, 30.0, 9.0],
+            sample_size: 5,
+        };
+        // Median 11; deviations 1, 1, 0, 19, 2 → median 1.
+        assert_eq!(b.median_mad_ns(), (11.0, 1.0));
     }
 
     #[test]

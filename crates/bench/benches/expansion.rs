@@ -1,6 +1,7 @@
 //! Node-expansion and end-to-end before/after benchmarks for the arena +
 //! batched-GEMM refactoring (ISSUE 1) and the subtree-parallel exact
-//! decoder (ISSUE 5).
+//! decoder (ISSUE 5), and the served exact rung's preparation layer by
+//! layer.
 //!
 //! "Before" is the seed formulation preserved in [`sd_core::reference`]:
 //! every open node owns a `Vec<usize>` path (cloned per expansion) and
@@ -12,7 +13,8 @@
 //! nodes.
 //!
 //! Unlike the other benches this one has a hand-rolled `main`: after the
-//! measurements it serializes every result — plus the derived
+//! measurements it serializes every result — its median, the samples'
+//! median absolute deviation and the sample count, plus the derived
 //! before/after speedups — to `BENCH_expansion.json` in the repo root.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
@@ -23,13 +25,16 @@ use sd_core::pd::{eval_children, eval_children_batch, PdScratch};
 use sd_core::preprocess::{preprocess, BlockPrep, PrepScratch, Prepared};
 use sd_core::reference::{dfs_reference, kbest_reference};
 use sd_core::{
-    decode_block_budgeted_into, decode_block_fused_into, DecodeBudget, Detection, EvalStrategy,
+    decode_block_budgeted_into, decode_block_fused_into, prepare_block_with_channel_into,
+    prepare_channel_into, ChannelPrep, ColumnOrdering, DecodeBudget, Detection, EvalStrategy,
     FixedComplexitySd, KBestSd, MetricKind, ParallelSphereDecoder, PreparedDetector, QuantizedFsd,
     QuantizedKBestSd, SearchWorkspace, SphereDecoder,
 };
 use sd_math::fixed::{COEF_TARGET, SYM_QMAX, Y_CLAMP};
-use sd_math::{fx_expand_level_multi, fx_metric_update, GemmAlgo};
+use sd_math::{fx_expand_level_multi, fx_metric_update, GemmAlgo, Matrix, QrFactors};
+use sd_serve::{route_hash, PrepCache};
 use sd_wireless::{noise_variance, Constellation, FrameData, Modulation};
+use std::sync::Mutex;
 
 /// The paper's operating point: 16×16 antennas, 16-QAM.
 const N_TX: usize = 16;
@@ -276,6 +281,117 @@ fn bench_block_fused(c: &mut Criterion) {
     group.finish();
 }
 
+/// The preparation shapes, `(n_rx, n_tx, B)`: the `iid8` vector link and
+/// the `coherent16` link (16 streams on 18 antennas), each with the block
+/// size its frames or runs reach.
+const PREP_SHAPES: [(usize, usize, usize); 2] = [(8, 8, 64), (18, 16, 16)];
+/// Distinct channels each preparation row cycles through, so every call
+/// reads a channel it has not touched for this many calls.
+const PREP_CHANNELS: usize = 256;
+
+/// The served exact rung's preparation (sorted QR, QAM4), layer by layer:
+/// the sorted factorization alone; the worker's cache-miss path for a
+/// lone vector (lookup, factor, block apply at B = 1, publish); the copy a
+/// hit makes of the cached factorization; the math layer's `Qᴴy` apply
+/// to a block of `PREP_SHAPES`' size; and the whole block preparation
+/// from a cached factorization at B = 1 (a lone vector's hit) and at that
+/// block size (a frame or run), shared-channel check and copies included.
+fn bench_preparation(c: &mut Criterion) {
+    let constellation = Constellation::new(Modulation::Qam4);
+    let det =
+        SphereDecoder::<f64>::new(constellation.clone()).with_ordering(ColumnOrdering::Sorted);
+    for (n, m, block_len) in PREP_SHAPES {
+        let mut rng = StdRng::seed_from_u64(0x9E9);
+        let sigma2 = noise_variance(10.0, m);
+        let frames: Vec<FrameData> = (0..PREP_CHANNELS)
+            .map(|_| FrameData::generate(n, m, &constellation, sigma2, &mut rng))
+            .collect();
+        let hashes: Vec<u64> = frames.iter().map(|f| route_hash(&f.h)).collect();
+        let mut next = 0usize;
+        let mut group = c.benchmark_group(format!("prep_{n}x{m}"));
+        group.sample_size(30);
+
+        let (mut qr, mut r, mut perm) = (QrFactors::new(), Matrix::zeros(0, 0), Vec::new());
+        group.bench_function("factor_sorted", |b| {
+            b.iter(|| {
+                next = (next + 1) % PREP_CHANNELS;
+                qr.factor_sorted(&frames[next].h, &mut r, &mut perm);
+                perm[0]
+            });
+        });
+
+        // The runtime's default shard cache holds 8 channels; cycling
+        // through 256 makes every lookup a miss.
+        let cache = Mutex::new(PrepCache::new(8));
+        let mut scratch = PrepScratch::new();
+        let mut chan = ChannelPrep::new();
+        let mut block = BlockPrep::new();
+        let mut prep = Prepared::empty();
+        group.bench_function("miss_path/1", |b| {
+            b.iter(|| {
+                next = (next + 1) % PREP_CHANNELS;
+                PrepCache::prepare(
+                    &cache,
+                    0,
+                    hashes[next],
+                    &det,
+                    std::slice::from_ref(&frames[next]),
+                    &mut scratch,
+                    &mut chan,
+                    &mut block,
+                    &mut prep,
+                )
+            });
+        });
+        assert_eq!(cache.lock().unwrap().hits(), 0, "every lookup must miss");
+
+        prepare_channel_into(&frames[0], ColumnOrdering::Sorted, &mut scratch, &mut chan);
+        let mut copy = ChannelPrep::new();
+        group.bench_function("hit_copy", |b| {
+            b.iter(|| {
+                copy.clone_from(&chan);
+                copy.shape()
+            });
+        });
+
+        // One channel, a fresh receive vector per subcarrier.
+        let shared: Vec<FrameData> = frames[1..=block_len]
+            .iter()
+            .map(|f| FrameData {
+                h: frames[0].h.clone(),
+                ..f.clone()
+            })
+            .collect();
+        // The math layer's batched Qᴴy apply alone, matrix in and out.
+        let ys = Matrix::from_fn(n, block_len, |i, b| shared[b].y[i]);
+        let (mut ybars, mut tails) = (Matrix::zeros(0, 0), Vec::new());
+        qr.factor_sorted(&frames[0].h, &mut r, &mut perm);
+        group.throughput(Throughput::Elements(block_len as u64));
+        group.bench_function(BenchmarkId::new("qty_block", block_len), |b| {
+            b.iter(|| {
+                qr.apply_qty_block_into(&ys, &mut ybars, &mut tails);
+                tails[0]
+            });
+        });
+        for len in [1, block_len] {
+            group.throughput(Throughput::Elements(len as u64));
+            group.bench_function(BenchmarkId::new("block_apply", len), |b| {
+                b.iter(|| {
+                    prepare_block_with_channel_into(
+                        &shared[..len],
+                        &constellation,
+                        &mut chan,
+                        &mut block,
+                        &mut prep,
+                    );
+                    prep.tail_energy
+                });
+            });
+        }
+        group.finish();
+    }
+}
+
 /// End-to-end decode latency at the paper's operating point.
 fn bench_end_to_end(c: &mut Criterion) {
     let frames: Vec<Prepared<f64>> = (0..8).map(|i| problem(10 + i, 22.0).1).collect();
@@ -386,6 +502,7 @@ fn main() {
     let mut c = Criterion::new();
     bench_node_expansion(&mut c);
     bench_block_fused(&mut c);
+    bench_preparation(&mut c);
     bench_end_to_end(&mut c);
 
     let before = find(&c, "per_node_path_clone");
@@ -429,8 +546,8 @@ fn main() {
                 extra += &format!(", \"oversubscribed\": {}", w > cores);
             }
             format!(
-                "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}{extra}}}",
-                r.id, r.ns_per_iter
+                "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"mad_ns\": {:.1}, \"samples\": {}{extra}}}",
+                r.id, r.ns_per_iter, r.mad_ns, r.samples
             )
         })
         .collect();

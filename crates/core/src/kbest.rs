@@ -240,7 +240,7 @@ impl<F: Float> PreparedDetector<F> for KBestSd<F> {
         if b_count == 0 {
             return true;
         }
-        // `prep` holds the shared channel state (R, row blocks, points,
+        // `prep` holds the shared channel state (R, points,
         // permutation); per-subcarrier ȳ is read straight off the block.
         let m = prep.n_tx;
         let p = prep.order;

@@ -388,7 +388,7 @@ pub fn eval_children_batch<F: Float>(
 /// subcarriers, subcarrier-major with exactly `stride` nodes each;
 /// `ybars[sc]` is subcarrier `sc`'s received component `ȳ_i` for this
 /// level. All subcarriers must share `prep`'s channel factorization
-/// (`R`, hence `row_blocks`, `points` and the seeds) — the coherence-block
+/// (`R`, `points` and the seeds) — the coherence-block
 /// invariant — because the GEMM operand stacks their tree states against
 /// the ONE suffix row `A' = R[i, i+1..M]`.
 ///
@@ -447,9 +447,11 @@ fn eval_batch<F: Float>(
     assert!(!nodes.is_empty(), "empty batch");
     let depth = arena.depth(nodes[0]);
     assert!(depth < m, "cannot expand a leaf");
-    let a_row = &prep.row_blocks[depth];
-    debug_assert_eq!(a_row.shape(), (1, depth + 1));
-    let r_ii = a_row.as_slice()[0];
+    // Depth `depth` fixes antenna `i = M − 1 − depth`, and its GEMM row
+    // operand is `R`'s row `i` from the diagonal on: `[r_ii, A']`.
+    let i = m - 1 - depth;
+    let a_row = &prep.r.row(i)[i..];
+    let r_ii = a_row[0];
 
     // The diagonal term r_ii·ω_c is the same for every node of the level:
     // compute the P seed products once (the scalar loop's first
@@ -463,10 +465,7 @@ fn eval_batch<F: Float>(
     }
     // The level's suffix coefficients A' = R[i, i+1..M].
     scratch.a_tail.resize_for_overwrite(1, depth);
-    scratch
-        .a_tail
-        .as_mut_slice()
-        .copy_from_slice(&a_row.as_slice()[1..]);
+    scratch.a_tail.as_mut_slice().copy_from_slice(&a_row[1..]);
 
     // Grow-only resize: every element is overwritten chunk by chunk below.
     if scratch.batch_increments.len() != nodes.len() * p {

@@ -6,7 +6,7 @@
 //! use and is shared by every tree decoder, so cross-decoder comparisons
 //! are exact.
 
-use sd_math::{Complex, Float, Matrix, QrFactors};
+use sd_math::{Complex, Float, Matrix, QrFactors, QtyBlock};
 use sd_wireless::{Constellation, FrameData};
 use serde::{Deserialize, Serialize};
 
@@ -40,10 +40,10 @@ pub enum ColumnOrdering {
 impl ColumnOrdering {
     /// Pre-QR column permutation of the norm orders: `perm` such that
     /// `H_perm[:, k] = H[:, perm[k]]`, written into caller-owned buffers
-    /// (`norms` is scratch).
+    /// (`norms` is scratch). The norms are those of `h` cast to `F`.
     fn norm_permutation_into<F: Float>(
         self,
-        h: &Matrix<F>,
+        h: &Matrix<f64>,
         perm: &mut Vec<usize>,
         norms: &mut Vec<f64>,
     ) {
@@ -53,7 +53,7 @@ impl ColumnOrdering {
         norms.clear();
         norms.extend((0..m).map(|j| {
             (0..h.rows())
-                .map(|i| h[(i, j)].norm_sqr().to_f64())
+                .map(|i| h[(i, j)].cast::<F>().norm_sqr().to_f64())
                 .sum::<f64>()
         }));
         // Tree level 0 fixes the LAST column, so "detected first" means
@@ -71,12 +71,43 @@ impl ColumnOrdering {
             }
         }
     }
+
+    /// Factor `h` under this ordering into `qr`, casting it to `F` on the
+    /// way into the factor's planes, and write the detection order into
+    /// `perm`. [`ColumnOrdering::Sorted`] pivots inside the factorization;
+    /// the norm orders permute the columns as they are read.
+    fn factor<F: Float>(
+        self,
+        h: &Matrix<f64>,
+        qr: &mut QrFactors<F>,
+        perm: &mut Vec<usize>,
+        norms: &mut Vec<f64>,
+    ) {
+        match self {
+            ColumnOrdering::Natural | ColumnOrdering::Sorted => {
+                perm.clear();
+                perm.extend(0..h.cols());
+            }
+            ColumnOrdering::NormDescending | ColumnOrdering::NormAscending => {
+                self.norm_permutation_into::<F>(h, perm, norms)
+            }
+        }
+        qr.factor_columns(h, perm, self == ColumnOrdering::Sorted);
+    }
 }
 
 /// Precision-cast, QR-reduced decoding problem.
+///
+/// The QR preparations fill every field a tree engine reads: `R`, `ȳ`,
+/// the tail, the points, the shape, the permutation, the flop charge and
+/// `σ²` (read by the soft and statistical-pruning decoders). They leave
+/// [`Prepared::h`] and [`Prepared::y`] alone: only the linear family reads
+/// the raw system, and it fills them itself ([`Prepared::load_frame`]).
 #[derive(Clone, Debug)]
 pub struct Prepared<F: Float> {
-    /// `M × M` upper-triangular factor.
+    /// `M × M` upper-triangular factor. Row `i` from the diagonal on,
+    /// `[r_ii, r_{i,i+1}, …, r_{i,M−1}]`, is the GEMM row operand of tree
+    /// depth `M − 1 − i` (see [`crate::pd::eval_children_batch`]).
     pub r: Matrix<F>,
     /// First `M` entries of `Q^H y`.
     pub ybar: Vec<Complex<F>>,
@@ -93,16 +124,9 @@ pub struct Prepared<F: Float> {
     /// Column permutation applied before QR: tree antenna `k` is
     /// physical antenna `perm[k]`.
     pub perm: Vec<usize>,
-    /// Per-depth GEMM row operands: `row_blocks[d]` is the `1 × (d+1)`
-    /// block `[r_{ii}, r_{i,i+1}, …, r_{i,M−1}]` with `i = M−1−d`, laid
-    /// out so column `1+off` multiplies the depth-`d` suffix entry `off`
-    /// (deepest-first). Built once here so the batched expansion of
-    /// [`crate::pd::eval_children_batch`] never re-gathers `R` rows.
-    pub row_blocks: Vec<Matrix<F>>,
     /// Native-precision copy of the channel matrix `H` (unpermuted, as
-    /// received). Carried so detectors that work on the raw system —
-    /// the linear ZF/MMSE/MRC family — can decode from a [`Prepared`]
-    /// without a round trip back to the frame.
+    /// received), for detectors that work on the raw system — the linear
+    /// ZF/MMSE/MRC family. Filled by [`Prepared::load_frame`] only.
     pub h: Matrix<f64>,
     /// Native-precision copy of the receive vector `y` (see [`Prepared::h`]).
     pub y: Vec<Complex<f64>>,
@@ -111,37 +135,14 @@ pub struct Prepared<F: Float> {
     pub noise_variance: f64,
 }
 
-/// Build the per-depth `1 × (d+1)` GEMM row operands from `R`.
-pub(crate) fn row_blocks_from_r<F: Float>(r: &Matrix<F>) -> Vec<Matrix<F>> {
-    let mut blocks = Vec::new();
-    row_blocks_into(r, &mut blocks);
-    blocks
-}
-
-/// [`row_blocks_from_r`] into a caller-owned vector, reusing each block's
-/// backing buffer (allocation-free at steady state for a fixed `M`).
-pub(crate) fn row_blocks_into<F: Float>(r: &Matrix<F>, blocks: &mut Vec<Matrix<F>>) {
-    let m = r.cols();
-    if blocks.len() != m {
-        blocks.resize_with(m, || Matrix::zeros(0, 0));
-    }
-    for (depth, block) in blocks.iter_mut().enumerate() {
-        let i = m - 1 - depth;
-        block.resize_for_overwrite(1, depth + 1);
-        for l in 0..=depth {
-            block[(0, l)] = r[(i, i + l)];
-        }
-    }
-}
-
 /// Approximate real-flop count of a complex Householder QR of an `n × m`
-/// matrix plus the application of `Q^H` to one vector.
+/// matrix plus the application of `Q^H` to one vector:
+/// `8(nm² − m³/3) + 8nm`, rounded to the nearest flop.
 pub fn qr_flops(n: usize, m: usize) -> u64 {
     // Complex arithmetic is 4 mul + 4 add per MAC; the classic
     // 2(nm² − m³/3) real-QR count scales by 4.
-    let n = n as u64;
-    let m = m as u64;
-    8 * (n * m * m).saturating_sub(8 * m * m * m / 3) + 8 * n * m
+    let (n, m) = (n as f64, m as f64);
+    (8.0 * (n * m * m - m * m * m / 3.0) + 8.0 * n * m).round() as u64
 }
 
 /// Cast the frame to precision `F` and QR-reduce it.
@@ -168,60 +169,11 @@ pub fn preprocess_ordered<F: Float>(
 }
 
 /// Reusable buffers for [`preprocess_ordered_into`]: the QR factors, the
-/// cast channel and the cast receive vector.
+/// one-vector `Qᴴy` block and the norm-order scratch.
 pub struct PrepScratch<F: Float> {
     qr: QrFactors<F>,
-    channel: ChannelCast<F>,
-    y: Vec<Complex<F>>,
-}
-
-/// The cast channel matrix, its pre-QR permutation and the norm-order
-/// scratch: the channel half every preparation path shares.
-struct ChannelCast<F: Float> {
-    h: Matrix<F>,
-    h_perm: Matrix<F>,
+    y: QtyBlock<F>,
     norms: Vec<f64>,
-}
-
-impl<F: Float> ChannelCast<F> {
-    /// Cast `h` to `F` and factor it under `ordering` into `qr`, writing
-    /// the detection order into `perm` and the thin `R` into `r`.
-    /// [`ColumnOrdering::Sorted`] pivots inside the factorization; the
-    /// norm orders permute the columns before it.
-    fn factor(
-        &mut self,
-        h: &Matrix<f64>,
-        ordering: ColumnOrdering,
-        qr: &mut QrFactors<F>,
-        perm: &mut Vec<usize>,
-        r: &mut Matrix<F>,
-    ) {
-        let (n, m) = h.shape();
-        self.h.resize_for_overwrite(n, m);
-        for i in 0..n {
-            for j in 0..m {
-                self.h[(i, j)] = h[(i, j)].cast();
-            }
-        }
-        match ordering {
-            ColumnOrdering::Natural => {
-                perm.clear();
-                perm.extend(0..m);
-                qr.factor(&self.h, r);
-            }
-            ColumnOrdering::Sorted => qr.factor_sorted(&self.h, r, perm),
-            ColumnOrdering::NormDescending | ColumnOrdering::NormAscending => {
-                ordering.norm_permutation_into(&self.h, perm, &mut self.norms);
-                self.h_perm.resize_for_overwrite(n, m);
-                for i in 0..n {
-                    for (j, &pj) in perm.iter().enumerate() {
-                        self.h_perm[(i, j)] = self.h[(i, pj)];
-                    }
-                }
-                qr.factor(&self.h_perm, r);
-            }
-        }
-    }
 }
 
 impl<F: Float> Default for PrepScratch<F> {
@@ -235,14 +187,52 @@ impl<F: Float> PrepScratch<F> {
     pub fn new() -> Self {
         PrepScratch {
             qr: QrFactors::new(),
-            channel: ChannelCast {
-                h: Matrix::zeros(0, 0),
-                h_perm: Matrix::zeros(0, 0),
-                norms: Vec::new(),
-            },
-            y: Vec::new(),
+            y: QtyBlock::new(),
+            norms: Vec::new(),
         }
     }
+}
+
+/// Complete `prep`, whose permutation is already in place, from the
+/// factored channel and one receive vector: `ȳ` and the tail, then the
+/// channel half and `σ²`. `y` is cast into the one-vector block `one` on
+/// its way in.
+fn complete_prepared<F: Float>(
+    factors: &QrFactors<F>,
+    prep_flops: u64,
+    frame: &FrameData,
+    constellation: &Constellation,
+    one: &mut QtyBlock<F>,
+    prep: &mut Prepared<F>,
+) {
+    let (n, _) = factors.shape();
+    assert_eq!(frame.y.len(), n, "y length must equal rows of H");
+    one.reset(n, 1);
+    for (i, y) in frame.y.iter().enumerate() {
+        one.set(i, 0, y.cast());
+    }
+    factors.apply_qty_block(one);
+    one.ybar_into(0, &mut prep.ybar);
+    prep.tail_energy = one.tail(0);
+    complete_channel(factors, prep_flops, constellation, prep);
+    prep.noise_variance = frame.noise_variance;
+}
+
+/// The channel half of a [`Prepared`] apart from the permutation: `R`,
+/// the points, the shape and the flop charge.
+fn complete_channel<F: Float>(
+    factors: &QrFactors<F>,
+    prep_flops: u64,
+    constellation: &Constellation,
+    prep: &mut Prepared<F>,
+) {
+    factors.r_into(&mut prep.r);
+    prep.points.clear();
+    prep.points
+        .extend(constellation.points().iter().map(|p| p.cast()));
+    prep.n_tx = factors.shape().1;
+    prep.order = constellation.order();
+    prep.prep_flops = prep_flops;
 }
 
 /// [`preprocess_ordered`] into a caller-owned [`Prepared`], drawing every
@@ -259,24 +249,20 @@ pub fn preprocess_ordered_into<F: Float>(
 ) {
     let (n, m) = frame.h.shape();
     assert_eq!(frame.y.len(), n, "y length must equal rows of H");
-    scratch.channel.factor(
+    ordering.factor(
         &frame.h,
-        ordering,
         &mut scratch.qr,
         &mut prep.perm,
-        &mut prep.r,
+        &mut scratch.norms,
     );
-    scratch.y.clear();
-    scratch.y.extend(frame.y.iter().map(|c| c.cast()));
-    prep.tail_energy = scratch.qr.apply_qty_into(&scratch.y, &mut prep.ybar);
-    prep.points.clear();
-    prep.points
-        .extend(constellation.points().iter().map(|p| p.cast()));
-    prep.n_tx = m;
-    prep.order = constellation.order();
-    prep.prep_flops = qr_flops(n, m);
-    row_blocks_into(&prep.r, &mut prep.row_blocks);
-    prep.load_frame(frame);
+    complete_prepared(
+        &scratch.qr,
+        qr_flops(n, m),
+        frame,
+        constellation,
+        &mut scratch.y,
+        prep,
+    );
 }
 
 /// The channel-only half of the QR preprocessing: everything that depends
@@ -292,7 +278,6 @@ pub fn preprocess_ordered_into<F: Float>(
 /// bit-identically to [`preprocess_ordered_into`].
 pub struct ChannelPrep<F: Float> {
     factors: QrFactors<F>,
-    r: Matrix<F>,
     perm: Vec<usize>,
     prep_flops: u64,
 }
@@ -314,9 +299,6 @@ impl<F: Float> Clone for ChannelPrep<F> {
 
     fn clone_from(&mut self, src: &Self) {
         self.factors.clone_from(&src.factors);
-        let (rows, cols) = src.r.shape();
-        self.r.resize_for_overwrite(rows, cols);
-        self.r.as_mut_slice().copy_from_slice(src.r.as_slice());
         self.perm.clone_from(&src.perm);
         self.prep_flops = src.prep_flops;
     }
@@ -328,7 +310,6 @@ impl<F: Float> ChannelPrep<F> {
     pub fn new() -> Self {
         ChannelPrep {
             factors: QrFactors::new(),
-            r: Matrix::zeros(0, 0),
             perm: Vec::new(),
             prep_flops: 0,
         }
@@ -350,12 +331,11 @@ pub fn prepare_channel_into<F: Float>(
     chan: &mut ChannelPrep<F>,
 ) {
     let (n, m) = frame.h.shape();
-    scratch.channel.factor(
+    ordering.factor(
         &frame.h,
-        ordering,
         &mut chan.factors,
         &mut chan.perm,
-        &mut chan.r,
+        &mut scratch.norms,
     );
     chan.prep_flops = qr_flops(n, m);
 }
@@ -376,26 +356,20 @@ pub fn prepare_with_channel_into<F: Float>(
     chan: &mut ChannelPrep<F>,
     prep: &mut Prepared<F>,
 ) {
-    let (n, m) = chan.shape();
-    assert_eq!(frame.h.shape(), (n, m), "frame does not match the channel");
-    prep.r.resize_for_overwrite(m, m);
-    for i in 0..m {
-        for j in 0..m {
-            prep.r[(i, j)] = chan.r[(i, j)];
-        }
-    }
+    assert_eq!(
+        frame.h.shape(),
+        chan.shape(),
+        "frame does not match the channel"
+    );
     prep.perm.clone_from(&chan.perm);
-    scratch.y.clear();
-    scratch.y.extend(frame.y.iter().map(|c| c.cast()));
-    prep.tail_energy = chan.factors.apply_qty_into(&scratch.y, &mut prep.ybar);
-    prep.points.clear();
-    prep.points
-        .extend(constellation.points().iter().map(|p| p.cast()));
-    prep.n_tx = m;
-    prep.order = constellation.order();
-    prep.prep_flops = chan.prep_flops;
-    row_blocks_into(&prep.r, &mut prep.row_blocks);
-    prep.load_frame(frame);
+    complete_prepared(
+        &chan.factors,
+        chan.prep_flops,
+        frame,
+        constellation,
+        &mut scratch.y,
+        prep,
+    );
 }
 
 /// Shared-prep state of one coherence block: the **batched** `ȳ = QᴴY`
@@ -404,29 +378,21 @@ pub fn prepare_with_channel_into<F: Float>(
 ///
 /// This is the frame-serving counterpart of [`ChannelPrep`]: where the
 /// per-request split factors once and replays `Qᴴ` vector by vector, the
-/// block path applies `Qᴴ` to the whole block in one
-/// [`sd_math::QrFactors::apply_qty_block_into`] sweep. Preparing a block
-/// ([`prepare_frame_block_into`], or [`prepare_block_with_channel_into`]
-/// from a cached factorization) also completes subcarrier 0's
-/// [`Prepared`], which carries the block-shared channel state (`R`, the
-/// permutation, row blocks, points); [`BlockPrep::fill_prepared`] then
-/// moves that problem to any other subcarrier by rewriting only its `ȳ`,
-/// tail and receive vector. Every subcarrier's problem is bit-identical
-/// to the per-vector pipeline.
+/// block path casts every receive vector straight into one
+/// [`sd_math::QtyBlock`] and applies `Qᴴ` to all of them in one
+/// [`sd_math::QrFactors::apply_qty_block`] sweep, the vectors side by side
+/// in lanes. Preparing a block ([`prepare_frame_block_into`], or
+/// [`prepare_block_with_channel_into`] from a cached factorization) also
+/// completes subcarrier 0's [`Prepared`], which carries the block-shared
+/// channel state (`R`, the permutation, points); [`BlockPrep::fill_prepared`]
+/// then moves that problem to any other subcarrier by rewriting only its
+/// `ȳ`, tail and `σ²`. Every subcarrier's problem is bit-identical to the
+/// per-vector pipeline.
 pub struct BlockPrep<F: Float> {
     chan: ChannelPrep<F>,
-    ys: BlockYs<F>,
-}
-
-/// The `y`-dependent half of a prepared block.
-struct BlockYs<F: Float> {
-    /// Cast receive vectors, one column per subcarrier (`n × B`).
-    ys: Matrix<F>,
-    /// `(Qᴴ y_b)[..m]`, one column per subcarrier (`m × B`).
-    ybars: Matrix<F>,
-    /// `‖(Qᴴ y_b)[m..]‖²` per subcarrier.
-    tails: Vec<F>,
-    len: usize,
+    /// The block's receive vectors, cast into `Qᴴ`-apply lanes, and after
+    /// the apply their `ȳ` and tails.
+    ys: QtyBlock<F>,
 }
 
 impl<F: Float> Default for BlockPrep<F> {
@@ -441,41 +407,32 @@ impl<F: Float> BlockPrep<F> {
     pub fn new() -> Self {
         BlockPrep {
             chan: ChannelPrep::new(),
-            ys: BlockYs {
-                ys: Matrix::zeros(0, 0),
-                ybars: Matrix::zeros(0, 0),
-                tails: Vec::new(),
-                len: 0,
-            },
+            ys: QtyBlock::new(),
         }
     }
 
     /// Number of subcarriers in the most recently prepared block.
     pub fn len(&self) -> usize {
-        self.ys.len
+        self.ys.len()
     }
 
     /// Whether no block has been prepared yet.
     pub fn is_empty(&self) -> bool {
-        self.ys.len == 0
+        self.ys.is_empty()
     }
 
     /// Move `prep` — a problem of this block, as left by the block
-    /// preparation — to subcarrier `k`: rewrite its `ȳ`, tail, receive
-    /// vector and `σ²`. The block-shared channel state (`R`, permutation,
-    /// row blocks, points, flop charge, `H`) is already in `prep` and is
-    /// not copied again. Bit-identical to [`prepare_with_channel_into`] of
-    /// the same frame against the same factored channel. `frame` must be
-    /// the subcarrier the block was prepared from (its `y` fed column `k`).
+    /// preparation — to subcarrier `k`: rewrite its `ȳ`, tail and `σ²`.
+    /// The block-shared channel state (`R`, permutation, points, flop
+    /// charge) is already in `prep` and is not copied again. Bit-identical
+    /// to [`prepare_with_channel_into`] of the same frame against the same
+    /// factored channel. `frame` must be the subcarrier the block was
+    /// prepared from (its `y` fed column `k`).
     pub fn fill_prepared(&self, k: usize, frame: &FrameData, prep: &mut Prepared<F>) {
-        let b = &self.ys;
-        assert!(k < b.len, "subcarrier {k} out of range ({})", b.len);
-        let m = b.ybars.rows();
-        prep.ybar.clear();
-        prep.ybar.extend((0..m).map(|i| b.ybars[(i, k)]));
-        prep.tail_energy = b.tails[k];
-        prep.y.clear();
-        prep.y.extend_from_slice(&frame.y);
+        let ys = &self.ys;
+        assert!(k < ys.len(), "subcarrier {k} out of range ({})", ys.len());
+        ys.ybar_into(k, &mut prep.ybar);
+        prep.tail_energy = ys.tail(k);
         prep.noise_variance = frame.noise_variance;
     }
 
@@ -483,64 +440,48 @@ impl<F: Float> BlockPrep<F> {
     /// fused block decoders read per tree level, everything else being
     /// block-shared channel state.
     pub(crate) fn ybar_at(&self, i: usize, k: usize) -> Complex<F> {
-        self.ys.ybars[(i, k)]
+        self.ys.ybar(i, k)
     }
 }
 
-impl<F: Float> BlockYs<F> {
-    /// Apply `chan`'s `Qᴴ` to every receive vector of `frames` in one
-    /// batched sweep, and complete `prep` as subcarrier 0's problem: the
-    /// channel state is copied into it once for the whole block.
-    fn apply(
-        &mut self,
-        frames: &[FrameData],
-        constellation: &Constellation,
-        chan: &mut ChannelPrep<F>,
-        prep: &mut Prepared<F>,
-    ) {
-        assert!(!frames.is_empty(), "empty coherence block");
-        let (n, m) = chan.shape();
-        assert_eq!(
-            frames[0].h.shape(),
-            (n, m),
-            "frame does not match the channel"
+/// Cast every receive vector of `frames` into `ys` and apply `chan`'s `Qᴴ`
+/// to them in one batched sweep, and complete `prep` as subcarrier 0's
+/// problem: the channel state is copied into it once for the whole block.
+fn apply_block<F: Float>(
+    ys: &mut QtyBlock<F>,
+    frames: &[FrameData],
+    constellation: &Constellation,
+    chan: &ChannelPrep<F>,
+    prep: &mut Prepared<F>,
+) {
+    assert!(!frames.is_empty(), "empty coherence block");
+    let (n, _) = chan.shape();
+    assert_eq!(
+        frames[0].h.shape(),
+        chan.shape(),
+        "frame does not match the channel"
+    );
+    ys.reset(n, frames.len());
+    for (b, f) in frames.iter().enumerate() {
+        assert!(
+            b == 0 || f.h == frames[0].h,
+            "block frame {b} does not share the block channel"
         );
-        self.ys.resize_for_overwrite(n, frames.len());
-        for (b, f) in frames.iter().enumerate() {
-            assert!(
-                b == 0 || f.h == frames[0].h,
-                "block frame {b} does not share the block channel"
-            );
-            assert_eq!(f.y.len(), n, "frame {b}: y length must equal rows of H");
-            for i in 0..n {
-                self.ys[(i, b)] = f.y[i].cast();
-            }
+        assert_eq!(f.y.len(), n, "frame {b}: y length must equal rows of H");
+        for (i, y) in f.y.iter().enumerate() {
+            ys.set(i, b, y.cast());
         }
-        chan.factors
-            .apply_qty_block_into(&self.ys, &mut self.ybars, &mut self.tails);
-        self.len = frames.len();
-
-        prep.r.resize_for_overwrite(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                prep.r[(i, j)] = chan.r[(i, j)];
-            }
-        }
-        prep.perm.clone_from(&chan.perm);
-        prep.points.clear();
-        prep.points
-            .extend(constellation.points().iter().map(|p| p.cast()));
-        prep.order = constellation.order();
-        // Same accounting convention as the per-vector cached path: each
-        // subcarrier is charged the full factorization cost so flop-based
-        // complexity numbers stay comparable across serving strategies.
-        prep.prep_flops = chan.prep_flops;
-        row_blocks_into(&prep.r, &mut prep.row_blocks);
-        prep.load_frame(&frames[0]);
-        prep.ybar.clear();
-        prep.ybar.extend((0..m).map(|i| self.ybars[(i, 0)]));
-        prep.tail_energy = self.tails[0];
     }
+    chan.factors.apply_qty_block(ys);
+
+    prep.perm.clone_from(&chan.perm);
+    // Same accounting convention as the per-vector cached path: each
+    // subcarrier is charged the full factorization cost so flop-based
+    // complexity numbers stay comparable across serving strategies.
+    complete_channel(&chan.factors, chan.prep_flops, constellation, prep);
+    ys.ybar_into(0, &mut prep.ybar);
+    prep.tail_energy = ys.tail(0);
+    prep.noise_variance = frames[0].noise_variance;
 }
 
 /// Prepare a whole coherence block: factor `frames[0]`'s channel once
@@ -561,7 +502,7 @@ pub fn prepare_frame_block_into<F: Float>(
 ) {
     assert!(!frames.is_empty(), "empty coherence block");
     prepare_channel_into(&frames[0], ordering, scratch, &mut block.chan);
-    block.ys.apply(frames, constellation, &mut block.chan, prep);
+    apply_block(&mut block.ys, frames, constellation, &block.chan, prep);
 }
 
 /// Prepare a coherence block from an already factored channel — the
@@ -582,7 +523,7 @@ pub fn prepare_block_with_channel_into<F: Float>(
     block: &mut BlockPrep<F>,
     prep: &mut Prepared<F>,
 ) {
-    block.ys.apply(frames, constellation, chan, prep);
+    apply_block(&mut block.ys, frames, constellation, chan, prep);
 }
 
 impl<F: Float> Prepared<F> {
@@ -599,7 +540,6 @@ impl<F: Float> Prepared<F> {
             order: 0,
             prep_flops: 0,
             perm: Vec::new(),
-            row_blocks: Vec::new(),
             h: Matrix::zeros(0, 0),
             y: Vec::new(),
             noise_variance: 0.0,
@@ -609,7 +549,8 @@ impl<F: Float> Prepared<F> {
     /// Copy the frame view (`H`, `y`, `σ²`) into this problem without
     /// touching the QR factors — allocation-free once the shape has been
     /// seen. Detectors that skip tree preprocessing entirely (the linear
-    /// family) use this as their whole preparation step.
+    /// family) use this as their whole preparation step; the QR
+    /// preparations never call it.
     pub fn load_frame(&mut self, frame: &FrameData) {
         let (n, m) = frame.h.shape();
         self.h.resize_for_overwrite(n, m);
@@ -894,7 +835,6 @@ mod tests {
             assert_eq!(sorted.r, natural.r, "seed {seed}: R");
             assert_eq!(sorted.ybar, natural.ybar, "seed {seed}: ybar");
             assert_eq!(sorted.tail_energy.to_bits(), natural.tail_energy.to_bits());
-            assert_eq!(sorted.row_blocks, natural.row_blocks);
             let sorted32: Prepared<f32> = preprocess_ordered(&f, &c, ColumnOrdering::Sorted);
             let mut permuted32 = f.clone();
             permuted32.h = Matrix::from_fn(8, 8, |i, j| f.h[(i, sorted32.perm[j])]);
@@ -936,7 +876,7 @@ mod tests {
             let (c, f) = frame(7, Modulation::Qam16, seed);
             preprocess_ordered_into(&f, &c, ordering, &mut scratch, &mut prep);
             // The truth, built without the preparation paths: permute the
-            // channel, run the plain QR, cut R into row blocks.
+            // channel, run the plain QR.
             let perm = expected_perm(&f.h, ordering);
             let h_perm = Matrix::from_fn(7, 7, |i, j| f.h[(i, perm[j])]);
             let (r, ybar, tail) = qr_with_qty(&h_perm, &f.y);
@@ -944,14 +884,14 @@ mod tests {
             assert_eq!(r, prep.r, "{ordering:?}: R differs");
             assert_eq!(ybar, prep.ybar);
             assert_eq!(tail.to_bits(), prep.tail_energy.to_bits());
-            assert_eq!(row_blocks_from_r(&r), prep.row_blocks);
             assert_eq!(c.points(), &prep.points[..]);
             assert_eq!(prep.n_tx, 7);
             assert_eq!(prep.order, c.order());
             assert_eq!(prep.prep_flops, qr_flops(7, 7));
-            assert_eq!(f.h, prep.h, "{ordering:?}: frame view H differs");
-            assert_eq!(f.y, prep.y);
             assert_eq!(f.noise_variance.to_bits(), prep.noise_variance.to_bits());
+            // Only the linear family reads the frame view, and it loads
+            // its own: the QR preparation copies neither H nor y.
+            assert!(prep.h.is_empty() && prep.y.is_empty());
         }
     }
 
@@ -987,9 +927,6 @@ mod tests {
                 assert_eq!(fused.order, split.order);
                 assert_eq!(fused.prep_flops, split.prep_flops);
                 assert_eq!(fused.perm, split.perm);
-                assert_eq!(fused.row_blocks, split.row_blocks);
-                assert_eq!(fused.h, split.h);
-                assert_eq!(fused.y, split.y);
                 assert_eq!(
                     fused.noise_variance.to_bits(),
                     split.noise_variance.to_bits()
@@ -1059,9 +996,6 @@ mod tests {
                     assert_eq!(from_vec.order, got.order);
                     assert_eq!(from_vec.prep_flops, got.prep_flops);
                     assert_eq!(from_vec.perm, got.perm);
-                    assert_eq!(from_vec.row_blocks, got.row_blocks);
-                    assert_eq!(from_vec.h, got.h);
-                    assert_eq!(from_vec.y, got.y);
                     assert_eq!(
                         from_vec.noise_variance.to_bits(),
                         got.noise_variance.to_bits()
@@ -1130,6 +1064,15 @@ mod tests {
         let mut buf = vec![9usize; 2];
         prep.indices_from_path_into(&path, &mut buf);
         assert_eq!(buf, prep.indices_from_path(&path));
+    }
+
+    /// The closed form `8(nm² − m³/3) + 8nm` at the served shapes.
+    #[test]
+    fn flops_counter_is_the_closed_form() {
+        assert_eq!(qr_flops(8, 8), 3_243);
+        assert_eq!(qr_flops(16, 16), 23_893);
+        assert_eq!(qr_flops(18, 16), 28_245);
+        assert_eq!(qr_flops(64, 8), 35_499);
     }
 
     #[test]

@@ -139,10 +139,12 @@ impl FxPrepared {
         self.n_tx = m;
         self.order = p;
 
+        // Depth `d` fixes antenna `i = M − 1 − d`; its coefficients are
+        // `R`'s row `i` from the diagonal on, `[r_ii, r_{i,i+1}, …]`.
+        let row = |d: usize| &prep.r.row(m - 1 - d)[m - 1 - d..];
         let mut max_abs = 0.0f64;
-        for block in &prep.row_blocks {
-            for l in 0..block.cols() {
-                let v = block[(0, l)];
+        for d in 0..m {
+            for v in row(d) {
                 max_abs = max_abs.max(v.re.abs()).max(v.im.abs());
             }
         }
@@ -159,18 +161,18 @@ impl FxPrepared {
         self.levels.resize_with(m, FxLevel::default);
         for (d, level) in self.levels.iter_mut().enumerate() {
             let i = m - 1 - d;
-            let block = &prep.row_blocks[d];
+            let coefs = row(d);
             level.a_re.clear();
             level.a_im.clear();
             for off in 0..d {
-                let v = block[(0, 1 + off)];
+                let v = coefs[1 + off];
                 level.a_re.push(quantize_i16(v.re, alpha));
                 level.a_im.push(quantize_i16(v.im, alpha));
             }
             let y = prep.ybar[i];
             level.y_re = quantize_i32(y.re, alpha * SYM_SCALE);
             level.y_im = quantize_i32(y.im, alpha * SYM_SCALE);
-            let rii = block[(0, 0)];
+            let rii = coefs[0];
             let (rr, ri) = (
                 quantize_i16(rii.re, alpha) as i32,
                 quantize_i16(rii.im, alpha) as i32,

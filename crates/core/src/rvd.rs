@@ -101,7 +101,6 @@ impl<F: Float> RvdSphereDecoder<F> {
             })
             .collect();
         let (r, ybar, tail_energy) = qr_with_qty(&h_real, &y_real);
-        let row_blocks = crate::preprocess::row_blocks_from_r(&r);
         Prepared {
             r,
             ybar,
@@ -115,9 +114,8 @@ impl<F: Float> RvdSphereDecoder<F> {
             order: self.pam_levels.len(),
             prep_flops: qr_flops(2 * n, 2 * m),
             perm: (0..2 * m).collect(),
-            row_blocks,
-            h: frame.h.clone(),
-            y: frame.y.clone(),
+            h: Matrix::zeros(0, 0),
+            y: Vec::new(),
             noise_variance: frame.noise_variance,
         }
     }

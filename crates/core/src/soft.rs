@@ -97,7 +97,7 @@ impl<F: Float> SoftSphereDecoder<F> {
     }
 
     /// Soft decode a prepared problem; the LLR noise variance is read
-    /// from the prepared frame view.
+    /// from [`Prepared::noise_variance`].
     pub fn detect_soft_prepared(&self, prep: &Prepared<F>) -> SoftDetection {
         let m = prep.n_tx;
         let p = prep.order;

@@ -60,7 +60,7 @@ pub use gemm::{
     gemm_into, GemmAlgo,
 };
 pub use matrix::Matrix;
-pub use qr::{qr, qr_with_qty, QrDecomposition, QrFactors};
+pub use qr::{qr, qr_with_qty, QrDecomposition, QrFactors, QtyBlock};
 pub use rng::ComplexNormal;
 pub use vector::CVector;
 

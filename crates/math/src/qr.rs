@@ -7,11 +7,31 @@
 //! default), its sorted twin that pivots the columns inside the same sweep
 //! ([`QrFactors::factor_sorted`], Wübben et al.'s SQRD), plus a modified
 //! Gram–Schmidt variant used as a cross-check in tests.
+//!
+//! One kernel, `reflect`, applies every Householder reflector: to the
+//! trailing columns of the work matrix during the factorization, to a
+//! block of receive vectors in [`QrFactors::apply_qty_block`], and to the
+//! identity's columns when [`qr`] forms `Q`. The matrix it updates is held
+//! as split real and imaginary planes, row-major, and it updates
+//! `LANES` columns side by side. Each lane runs its own column's
+//! operation sequence of the textbook scalar sweep — the same `mul_acc`
+//! fused multiply-adds in row order for `w = τ·vᴴx`, the same products and
+//! subtractions for `x −= w·v` — so `R`, the sorted permutation, `Qᴴy` and
+//! the tail are bit for bit those of a sweep that updates one interleaved
+//! complex column at a time.
 
 use crate::complex::Complex;
 use crate::float::Float;
 use crate::matrix::Matrix;
 use crate::vector::CVector;
+
+#[cfg(test)]
+mod oracle;
+
+/// Columns one pass of [`reflect`] updates side by side: trailing columns
+/// of a factorization, or receive vectors of a block. Eight `f64`s fill
+/// two 256-bit registers per plane.
+const LANES: usize = 8;
 
 /// Full QR decomposition `A = Q R` of an `n × m` matrix (`n ≥ m`):
 /// `Q` is `n × n` unitary, `R` is `n × m` upper triangular.
@@ -23,227 +43,174 @@ pub struct QrDecomposition<F: Float> {
     pub r: Matrix<F>,
 }
 
-/// Householder reflectors of one decomposition, stored compactly so they
-/// can be applied to vectors without materializing `Q`.
-struct Reflectors<F> {
-    /// Householder vectors; `v[k]` has length `n - k`.
-    vs: Vec<CVector<F>>,
-    /// Real scaling factors `tau_k = 2 / (v^H v)`.
-    taus: Vec<F>,
-    n: usize,
+/// A row-major complex matrix as split real and imaginary planes, each row
+/// `stride` reals long. Columns past the matrix's own are padding that a
+/// lane chunk may run over; they never reach an output.
+#[derive(Clone, Debug, Default)]
+struct Planes<F> {
+    re: Vec<F>,
+    im: Vec<F>,
+    stride: usize,
 }
 
-/// Apply `H_k … H_0` (i.e. `Q^H`) to `x` in place.
-fn apply_qh_slices<F: Float>(vs: &[CVector<F>], taus: &[F], x: &mut [Complex<F>]) {
-    for (k, (v, &tau)) in vs.iter().zip(taus.iter()).enumerate() {
-        if tau == F::ZERO {
-            continue;
-        }
-        // w = v^H x[k..]
-        let mut w = Complex::zero();
-        for (vi, xi) in v.iter().zip(x[k..].iter()) {
-            Complex::mul_acc(&mut w, vi.conj(), *xi);
-        }
-        let w = w.scale(tau);
-        // x[k..] -= w * v
-        for (vi, xi) in v.iter().zip(x[k..].iter_mut()) {
-            *xi -= w * *vi;
+impl<F: Float> Planes<F> {
+    /// `rows × stride` planes, every entry zero.
+    fn zeroed(&mut self, rows: usize, stride: usize) {
+        self.stride = stride;
+        for p in [&mut self.re, &mut self.im] {
+            p.clear();
+            p.resize(rows * stride, F::ZERO);
         }
     }
-}
 
-impl<F: Float> Reflectors<F> {
-    /// Apply `H_k … H_0` (i.e. `Q^H`) to `x` in place.
-    fn apply_qh(&self, x: &mut [Complex<F>]) {
-        assert_eq!(x.len(), self.n);
-        apply_qh_slices(&self.vs, &self.taus, x);
+    fn get(&self, i: usize, j: usize) -> Complex<F> {
+        let o = i * self.stride + j;
+        Complex::new(self.re[o], self.im[o])
     }
 
-    /// Apply `H_0 … H_k` (i.e. `Q`) to `x` in place.
-    fn apply_q(&self, x: &mut [Complex<F>]) {
-        assert_eq!(x.len(), self.n);
-        for (k, (v, &tau)) in self.vs.iter().zip(self.taus.iter()).enumerate().rev() {
-            if tau == F::ZERO {
-                continue;
-            }
-            let mut w = Complex::zero();
-            for (vi, xi) in v.iter().zip(x[k..].iter()) {
-                Complex::mul_acc(&mut w, vi.conj(), *xi);
-            }
-            let w = w.scale(tau);
-            for (vi, xi) in v.iter().zip(x[k..].iter_mut()) {
-                *xi -= w * *vi;
+    fn set(&mut self, i: usize, j: usize, x: Complex<F>) {
+        let o = i * self.stride + j;
+        self.re[o] = x.re;
+        self.im[o] = x.im;
+    }
+
+    /// The first `rows` rows of the columns `cols`, in that order, as an
+    /// interleaved matrix.
+    fn write_into(&self, rows: usize, cols: &[usize], out: &mut Matrix<F>) {
+        out.resize_for_overwrite(rows, cols.len());
+        for (i, row) in out
+            .as_mut_slice()
+            .chunks_exact_mut(cols.len().max(1))
+            .enumerate()
+        {
+            let (re, im) = (&self.re[i * self.stride..], &self.im[i * self.stride..]);
+            for (x, &c) in row.iter_mut().zip(cols) {
+                *x = Complex::new(re[c], im[c]);
             }
         }
     }
 }
 
-/// Column state of a sorted QR (Wübben et al.'s SQRD) while its
-/// Householder sweep runs: the permutation so far (`perm[k]` is the input
-/// column now stored at position `k`) and every column's remaining squared
-/// norm, the energy of its rows not yet reduced.
-struct SortedPivot<'a, F> {
-    perm: &'a mut Vec<usize>,
-    norms: &'a mut Vec<F>,
-}
-
-impl<F: Float> SortedPivot<'_, F> {
-    /// Identity permutation and the full squared column norms of `a`:
-    /// one O(n·m) pass.
-    fn start(&mut self, a: &Matrix<F>) {
-        let m = a.cols();
-        self.perm.clear();
-        self.perm.extend(0..m);
-        self.norms.clear();
-        self.norms.resize(m, F::ZERO);
-        for r in 0..a.rows() {
-            for (nj, x) in self.norms.iter_mut().zip(a.row(r)) {
-                *nj += x.norm_sqr();
-            }
-        }
-    }
-
-    /// Before step `k`: swap the remaining column with the least remaining
-    /// norm into position `k`, whole (rows above `k` too, so the finished
-    /// part of `R` moves with it). Ties go to the lowest input column, and
-    /// `total_cmp` orders a NaN norm, so the choice cannot panic.
-    fn select(&mut self, a: &mut Matrix<F>, k: usize) {
-        let m = a.cols();
-        let (norms, perm) = (&*self.norms, &*self.perm);
-        let best = (k..m)
-            .min_by(|&i, &j| {
-                norms[i]
-                    .to_f64()
-                    .total_cmp(&norms[j].to_f64())
-                    .then(perm[i].cmp(&perm[j]))
-            })
-            .unwrap_or(k);
-        if best != k {
-            for row in a.as_mut_slice().chunks_exact_mut(m) {
-                row.swap(k, best);
-            }
-            self.norms.swap(k, best);
-            self.perm.swap(k, best);
-        }
-    }
-
-    /// After step `k`: row `k` of `R` is final, so each later column's
-    /// remaining norm loses `|r_kj|²`. O(m) per step.
-    fn downdate(&mut self, a: &Matrix<F>, k: usize) {
-        for (nj, r_kj) in self.norms[k + 1..].iter_mut().zip(&a.row(k)[k + 1..]) {
-            *nj -= r_kj.norm_sqr();
-        }
-    }
-}
-
-/// Factorize in place, writing the reflectors into `vs`/`taus` (whose
-/// element buffers are reused across calls, so steady-state callers never
-/// touch the allocator) and leaving `R` in `a`. With `pivot`, the sweep
-/// pivots its columns as a sorted QR and leaves the permutation in it.
+/// Apply the reflector `I − τ·v·vᴴ` to every column of `a` over rows
+/// `row0..row0 + v.len()`, skipping the lane chunks that hold no column
+/// `live` selects; `v` comes as its real and imaginary planes.
 ///
-/// A pivot only moves whole columns between steps, and each column meets
-/// the same reflectors wherever it is stored, so a pivoted factorization
-/// is bit-identical to the unpivoted one of the input with its columns
-/// permuted up front.
-fn householder_into<F: Float>(
-    a: &mut Matrix<F>,
-    vs: &mut Vec<CVector<F>>,
-    taus: &mut Vec<F>,
-    mut pivot: Option<SortedPivot<'_, F>>,
+/// A plane one column wide is one lane: a lone receive vector, whose
+/// chain of dependent multiply-adds sets the pace whatever the width.
+/// Otherwise the columns go in chunks of [`LANES`], two chunks to a pass
+/// where both are live, so each row feeds enough independent chains to
+/// keep the multiply-add units busy. Every lane of a pass is written:
+/// lanes that `live` rejects carry no information the caller keeps.
+#[inline]
+fn reflect<F: Float>(
+    v_re: &[F],
+    v_im: &[F],
+    tau: F,
+    a: &mut Planes<F>,
+    row0: usize,
+    live: impl Fn(usize) -> bool,
 ) {
-    let (n, m) = a.shape();
-    assert!(n >= m, "QR requires rows >= cols (got {n}x{m})");
-    let steps = m.min(n.saturating_sub(1));
-    if vs.len() < steps {
-        vs.resize_with(steps, Vec::new);
+    if a.stride == 1 {
+        reflect_lanes::<F, 1>(v_re, v_im, tau, a, row0, 0);
+        return;
     }
-    vs.truncate(steps);
-    taus.clear();
-    if let Some(p) = pivot.as_mut() {
-        p.start(a);
-    }
-
-    for (k, x) in vs.iter_mut().enumerate() {
-        if let Some(p) = pivot.as_mut() {
-            p.select(a, k);
-        }
-        taus.push(reflect_column(a, k, x));
-        if let Some(p) = pivot.as_mut() {
-            p.downdate(a, k);
+    let chunks = a.stride / LANES;
+    let live_chunk = |c: usize| (c * LANES..(c + 1) * LANES).any(&live);
+    let mut c = 0;
+    while c < chunks {
+        if !live_chunk(c) {
+            c += 1;
+        } else if c + 1 < chunks && live_chunk(c + 1) {
+            reflect_lanes::<F, { 2 * LANES }>(v_re, v_im, tau, a, row0, c * LANES);
+            c += 2;
+        } else {
+            reflect_lanes::<F, LANES>(v_re, v_im, tau, a, row0, c * LANES);
+            c += 1;
         }
     }
 }
 
-/// Householder step `k`: reduce column `k` of `a` below the diagonal,
-/// writing the reflector into `x` and returning its `tau` (zero when the
-/// column tail is already negligible and the step is skipped).
-fn reflect_column<F: Float>(a: &mut Matrix<F>, k: usize, x: &mut CVector<F>) -> F {
-    let (n, m) = a.shape();
-    // Column tail x = A[k.., k].
-    x.clear();
-    x.extend((k..n).map(|r| a[(r, k)]));
-    let norm_x = crate::vector::norm(x);
-    if norm_x <= F::epsilon() {
-        return F::ZERO;
-    }
-    let alpha = x[0];
-    let alpha_abs = alpha.abs();
-    // beta = -(alpha/|alpha|)·‖x‖, or -‖x‖ when alpha == 0.
-    let beta = if alpha_abs > F::ZERO {
-        alpha.scale(-norm_x / alpha_abs)
-    } else {
-        Complex::from_real(-norm_x)
-    };
-    // v = x - beta·e1; v^H v = 2(‖x‖² + |x₀|·‖x‖) so tau = 2/(v^H v).
-    x[0] = alpha - beta;
-    let vhv = norm_x * norm_x + alpha_abs * norm_x;
-    let tau = if vhv > F::ZERO { F::ONE / vhv } else { F::ZERO };
-
-    // Apply the reflector to the trailing columns k..m of A.
-    for c in k..m {
-        let mut w = Complex::zero();
-        for (i, vi) in x.iter().enumerate() {
-            Complex::mul_acc(&mut w, vi.conj(), a[(k + i, c)]);
+/// One pass of [`reflect`] over the `L` columns from `c0`.
+///
+/// Lane `l` is one column `x`, and it performs exactly the scalar sweep's
+/// sequence for that column: `w = 0`, then for each row in order
+/// `Complex::mul_acc(w, conj(v_i), x_i)` (four fused multiply-adds),
+/// `w = w·τ`, then for each row `x_i −= w·v_i` (complex product, then the
+/// subtraction). Lanes never mix, so each column's bits equal the scalar
+/// sweep's whatever else shares its pass.
+#[inline]
+fn reflect_lanes<F: Float, const L: usize>(
+    v_re: &[F],
+    v_im: &[F],
+    tau: F,
+    a: &mut Planes<F>,
+    row0: usize,
+    c0: usize,
+) {
+    let s = a.stride;
+    let rows = row0 * s..(row0 + v_re.len()) * s;
+    let (re, im) = (&mut a.re[rows.clone()], &mut a.im[rows]);
+    let mut w_re = [F::ZERO; L];
+    let mut w_im = [F::ZERO; L];
+    for (i, (&vr, &vi)) in v_re.iter().zip(v_im).enumerate() {
+        let o = i * s + c0;
+        let x_re: [F; L] = re[o..o + L].try_into().expect("L lanes");
+        let x_im: [F; L] = im[o..o + L].try_into().expect("L lanes");
+        // mul_acc(w, conj(v), x): conj(v) = (vr, −vi), and mul_acc's
+        // second term multiplies by −(−vi) = vi.
+        let nvi = -vi;
+        for l in 0..L {
+            w_re[l] = vr.mul_add(x_re[l], w_re[l]);
+            w_re[l] = vi.mul_add(x_im[l], w_re[l]);
+            w_im[l] = vr.mul_add(x_im[l], w_im[l]);
+            w_im[l] = nvi.mul_add(x_re[l], w_im[l]);
         }
-        let w = w.scale(tau);
-        for (i, vi) in x.iter().enumerate() {
-            let delta = w * *vi;
-            a[(k + i, c)] -= delta;
-        }
     }
-    // Column k is now beta·e1 exactly (clean up rounding below the
-    // diagonal).
-    a[(k, k)] = beta;
-    for r in k + 1..n {
-        a[(r, k)] = Complex::zero();
+    // Whole-array steps from here on: lane-wise loops over the arrays in
+    // place do not vectorize reliably.
+    let w_re: [F; L] = std::array::from_fn(|l| w_re[l] * tau);
+    let w_im: [F; L] = std::array::from_fn(|l| w_im[l] * tau);
+    for (i, (&vr, &vi)) in v_re.iter().zip(v_im).enumerate() {
+        let o = i * s + c0;
+        let x_re: [F; L] = re[o..o + L].try_into().expect("L lanes");
+        let x_im: [F; L] = im[o..o + L].try_into().expect("L lanes");
+        let new_re: [F; L] = std::array::from_fn(|l| x_re[l] - (w_re[l] * vr - w_im[l] * vi));
+        let new_im: [F; L] = std::array::from_fn(|l| x_im[l] - (w_re[l] * vi + w_im[l] * vr));
+        re[o..o + L].copy_from_slice(&new_re);
+        im[o..o + L].copy_from_slice(&new_im);
     }
-    tau
 }
 
-/// Factorize in place, returning the reflectors and leaving `R` in `a`.
-fn householder<F: Float>(a: &mut Matrix<F>) -> Reflectors<F> {
-    let n = a.rows();
-    let mut vs = Vec::new();
-    let mut taus = Vec::new();
-    householder_into(a, &mut vs, &mut taus, None);
-    Reflectors { vs, taus, n }
+/// Offset of reflector `k` in the packed reflector planes of an `n`-row
+/// factorization: reflector `j` holds `n − j` entries.
+fn reflector_offset(n: usize, k: usize) -> usize {
+    k * (2 * n + 1 - k) / 2
 }
 
 /// Full Householder QR: `a = Q R`.
 pub fn qr<F: Float>(a: &Matrix<F>) -> QrDecomposition<F> {
-    let mut r = a.clone();
-    let refl = householder(&mut r);
     let n = a.rows();
-    // Q = H_0 … H_{m-1}: apply Q to each identity column.
-    let mut q = Matrix::zeros(n, n);
+    let mut f = QrFactors::new();
+    f.load(a, None, |x| x);
+    f.sweep(None);
+    let mut r = Matrix::zeros(0, 0);
+    f.a.write_into(n, &f.order, &mut r);
+    // Q = H_0 … H_{m-1}: apply Q to each identity column, one lane each.
+    let mut e = QtyBlock::new();
+    e.reset(n, n);
     for c in 0..n {
-        let mut e = vec![Complex::zero(); n];
-        e[c] = Complex::one();
-        refl.apply_q(&mut e);
-        for (r_i, val) in e.into_iter().enumerate() {
-            q[(r_i, c)] = val;
-        }
+        e.set(c, c, Complex::one());
     }
+    for (k, &tau) in f.taus.iter().enumerate().rev() {
+        if tau == F::ZERO {
+            continue;
+        }
+        let v = reflector_offset(n, k)..reflector_offset(n, k + 1);
+        reflect(&f.v_re[v.clone()], &f.v_im[v], tau, &mut e.y, k, |_| true);
+    }
+    let mut q = Matrix::zeros(0, 0);
+    let identity: Vec<usize> = (0..n).collect();
+    e.y.write_into(n, &identity, &mut q);
     QrDecomposition { q, r }
 }
 
@@ -252,16 +219,13 @@ pub fn qr<F: Float>(a: &Matrix<F>) -> QrDecomposition<F> {
 /// first `m` entries of `ȳ` (the only parts the tree search uses), plus the
 /// residual energy `‖ȳ[m..]‖²` that is constant over all hypotheses.
 pub fn qr_with_qty<F: Float>(h: &Matrix<F>, y: &[Complex<F>]) -> (Matrix<F>, CVector<F>, F) {
-    let (n, m) = h.shape();
-    assert_eq!(y.len(), n, "y length must equal rows of H");
-    let mut r_full = h.clone();
-    let refl = householder(&mut r_full);
-    let mut ybar = y.to_vec();
-    refl.apply_qh(&mut ybar);
-    let r_thin = r_full.block(0, m, 0, m);
-    let tail_energy = crate::vector::norm_sqr(&ybar[m..]);
-    ybar.truncate(m);
-    (r_thin, ybar, tail_energy)
+    assert_eq!(y.len(), h.rows(), "y length must equal rows of H");
+    let mut factors = QrFactors::new();
+    let mut r = Matrix::zeros(0, 0);
+    factors.factor(h, &mut r);
+    let mut ybar = Vec::new();
+    let tail_energy = factors.apply_qty_into(y, &mut ybar);
+    (r, ybar, tail_energy)
 }
 
 /// The channel-dependent half of a decoder QR, split from the
@@ -269,26 +233,47 @@ pub fn qr_with_qty<F: Float>(h: &Matrix<F>, y: &[Complex<F>]) -> (Matrix<F>, CVe
 /// share one `H` (channel-coherent serving): [`QrFactors::factor`] (or
 /// its column-pivoting twin [`QrFactors::factor_sorted`]) runs the
 /// Householder factorization (everything that touches only `H`), and
-/// [`QrFactors::apply_qty_into`] replays the stored reflectors onto a
-/// fresh `y`. Composing the two is bit-identical to [`qr_with_qty`] by
-/// construction — the factorization never reads `y`, and the reflector
-/// application is the identical `apply_qh` loop.
+/// [`QrFactors::apply_qty_into`] / [`QrFactors::apply_qty_block`] replay
+/// the stored reflectors onto fresh receive vectors. Composing the two is
+/// bit-identical to [`qr_with_qty`] by construction — the factorization
+/// never reads `y`, and every apply runs the same `reflect` kernel.
+///
+/// The work matrix lives in split planes whose rows are padded to whole
+/// `LANES`-column chunks. Step `k` reflects the columns not yet placed
+/// and skips the one it places: the reflector maps that column to `β·e₁`,
+/// which the step writes directly.
 ///
 /// All buffers are reused across calls, so both halves are
 /// allocation-free once a problem shape has been seen.
 pub struct QrFactors<F: Float> {
-    /// Factored work matrix: full-size `R` after [`QrFactors::factor`].
-    r_full: Matrix<F>,
-    vs: Vec<CVector<F>>,
+    /// Shape `(n, m)` of the factored matrix.
+    n: usize,
+    m: usize,
+    /// The work matrix, `n × m` padded to whole lane chunks; `R` fills its
+    /// first `m` rows once factored.
+    a: Planes<F>,
+    /// Householder vectors, packed: reflector `k` (`n − k` entries)
+    /// starts at [`reflector_offset`]`(n, k)`.
+    v_re: Vec<F>,
+    v_im: Vec<F>,
+    /// `τ_k = 2 / (v_kᴴ v_k)` per step; zero marks a step the applies
+    /// skip.
     taus: Vec<F>,
-    /// Work buffer for the full-length `Q^H y` product.
-    ybar: CVector<F>,
-    /// Work matrix for the block apply: `Q^H Y` over all columns at once.
-    yblock: Matrix<F>,
-    /// Per-column reflector coefficients `w_b = τ·(v^H Y[k.., b])`.
-    wrow: CVector<F>,
+    /// Per step, whether it reduced its column (its tail was not
+    /// negligible).
+    reduced: Vec<bool>,
+    /// The stored column at each position of `R`: columns stay where they
+    /// were loaded, and the sweep places them.
+    order: Vec<usize>,
+    /// During a sorted sweep: the input column each stored column holds,
+    /// and which stored columns are still unplaced.
+    input_cols: Vec<usize>,
+    unplaced: Vec<bool>,
     /// Remaining squared column norms of a sorted factorization.
     norms: Vec<F>,
+    /// Work block of [`QrFactors::apply_qty_into`] and
+    /// [`QrFactors::apply_qty_block_into`].
+    work: QtyBlock<F>,
 }
 
 impl<F: Float> Default for QrFactors<F> {
@@ -297,10 +282,10 @@ impl<F: Float> Default for QrFactors<F> {
     }
 }
 
-/// Cloning copies the factorization (the reflectors and the factored work
-/// matrix), not the apply work buffers. `clone_from` reuses the
-/// destination's buffers, so copying a factorization over one of the same
-/// shape is allocation-free.
+/// Cloning copies the factorization — the rows of the work matrix that
+/// hold `R`, and the reflectors — not the work buffers. `clone_from`
+/// reuses the destination's buffers, so copying a factorization over one
+/// of the same shape is allocation-free.
 impl<F: Float> Clone for QrFactors<F> {
     fn clone(&self) -> Self {
         let mut c = Self::new();
@@ -309,13 +294,18 @@ impl<F: Float> Clone for QrFactors<F> {
     }
 
     fn clone_from(&mut self, src: &Self) {
-        let (n, m) = src.r_full.shape();
-        self.r_full.resize_for_overwrite(n, m);
-        self.r_full
-            .as_mut_slice()
-            .copy_from_slice(src.r_full.as_slice());
-        self.vs.clone_from(&src.vs);
+        self.n = src.n;
+        self.m = src.m;
+        let r_rows = ..src.m * src.a.stride;
+        self.a.stride = src.a.stride;
+        for (dst, from) in [(&mut self.a.re, &src.a.re), (&mut self.a.im, &src.a.im)] {
+            dst.clear();
+            dst.extend_from_slice(&from[r_rows]);
+        }
+        self.v_re.clone_from(&src.v_re);
+        self.v_im.clone_from(&src.v_im);
         self.taus.clone_from(&src.taus);
+        self.order.clone_from(&src.order);
     }
 }
 
@@ -323,20 +313,27 @@ impl<F: Float> QrFactors<F> {
     /// Empty factors; buffers grow to steady state on first use.
     pub fn new() -> Self {
         QrFactors {
-            r_full: Matrix::zeros(0, 0),
-            vs: Vec::new(),
+            n: 0,
+            m: 0,
+            a: Planes::default(),
+            v_re: Vec::new(),
+            v_im: Vec::new(),
             taus: Vec::new(),
-            ybar: Vec::new(),
-            yblock: Matrix::zeros(0, 0),
-            wrow: Vec::new(),
+            reduced: Vec::new(),
+            order: Vec::new(),
+            input_cols: Vec::new(),
+            unplaced: Vec::new(),
             norms: Vec::new(),
+            work: QtyBlock::new(),
         }
     }
 
     /// Factorize `h`, storing the Householder reflectors in `self` and
     /// writing the thin `m × m` upper-triangular factor into `r_out`.
     pub fn factor(&mut self, h: &Matrix<F>, r_out: &mut Matrix<F>) {
-        self.factor_pivoted(h, r_out, None);
+        self.load(h, None, |x| x);
+        self.sweep(None);
+        self.r_into(r_out);
     }
 
     /// Sorted QR (Wübben et al.'s SQRD) of `h`: [`QrFactors::factor`] with
@@ -348,36 +345,194 @@ impl<F: Float> QrFactors<F> {
     ///
     /// `R`, the stored reflectors and every later `Qᴴy` are bit-identical
     /// to [`QrFactors::factor`] of `h` with its columns permuted by
-    /// `perm`. The pivot adds one O(n·m) norm pass, O(m) per step and the
-    /// column swaps; it never allocates once the shape has been seen, and
-    /// it is total: ties go to the lowest column of `h`, and a NaN norm is
+    /// `perm`. The pivot adds one O(n·m) norm pass and O(m) per step, and
+    /// moves no column: the sweep records which stored column takes each
+    /// position. It never allocates once the shape has been seen, and it is
+    /// total: ties go to the lowest column of `h`, and a NaN norm is
     /// ordered by `total_cmp`.
     pub fn factor_sorted(&mut self, h: &Matrix<F>, r_out: &mut Matrix<F>, perm: &mut Vec<usize>) {
-        self.factor_pivoted(h, r_out, Some(perm));
+        perm.clear();
+        perm.extend(0..h.cols());
+        self.load(h, None, |x| x);
+        self.sweep(Some(perm));
+        self.r_into(r_out);
     }
 
-    fn factor_pivoted(
+    /// Factorize the columns of `h` in the order `perm` (`perm[k]` is the
+    /// column of `h` placed at position `k`), each entry cast to `F` as it
+    /// is read into the work planes. With `sorted`, the sweep then pivots
+    /// as [`QrFactors::factor_sorted`] does and leaves the final order in
+    /// `perm`; from the identity order the result is bit-identical to
+    /// `factor_sorted` of the cast matrix, and otherwise to
+    /// [`QrFactors::factor`] of the cast, permuted matrix. `R` stays in the
+    /// factors until [`QrFactors::r_into`] writes it out.
+    pub fn factor_columns<G: Float>(&mut self, h: &Matrix<G>, perm: &mut [usize], sorted: bool) {
+        assert_eq!(perm.len(), h.cols(), "one position per column of h");
+        self.load(h, Some(perm), Complex::cast);
+        self.sweep(sorted.then_some(perm));
+    }
+
+    /// Write the thin `m × m` factor `R` of the last factorization into
+    /// `r_out`.
+    pub fn r_into(&self, r_out: &mut Matrix<F>) {
+        self.a.write_into(self.m, &self.order, r_out);
+    }
+
+    /// Read `h` into the work planes through `cast`, its column `cols[k]`
+    /// (or `k`, without `cols`) at position `k`, with the padding columns
+    /// zeroed.
+    fn load<G: Float>(
         &mut self,
-        h: &Matrix<F>,
-        r_out: &mut Matrix<F>,
-        perm: Option<&mut Vec<usize>>,
+        h: &Matrix<G>,
+        cols: Option<&[usize]>,
+        cast: impl Fn(Complex<G>) -> Complex<F>,
     ) {
         let (n, m) = h.shape();
-        self.r_full.resize_for_overwrite(n, m);
+        assert!(n >= m, "QR requires rows >= cols (got {n}x{m})");
+        self.n = n;
+        self.m = m;
+        let s = m.div_ceil(LANES) * LANES;
+        self.a.stride = s;
+        for p in [&mut self.a.re, &mut self.a.im] {
+            p.resize(n * s, F::ZERO);
+        }
         for i in 0..n {
-            for j in 0..m {
-                self.r_full[(i, j)] = h[(i, j)];
+            let (src, dst) = (h.row(i), i * s..(i + 1) * s);
+            let (row_re, row_im) = (&mut self.a.re[dst.clone()], &mut self.a.im[dst]);
+            let mut put = |j: usize, x: Complex<G>| {
+                let x = cast(x);
+                (row_re[j], row_im[j]) = (x.re, x.im);
+            };
+            match cols {
+                None => src.iter().enumerate().for_each(|(j, &x)| put(j, x)),
+                Some(cols) => cols.iter().enumerate().for_each(|(j, &c)| put(j, src[c])),
+            }
+            row_re[m..].fill(F::ZERO);
+            row_im[m..].fill(F::ZERO);
+        }
+    }
+
+    /// The Householder sweep over the loaded work matrix, pivoting as a
+    /// sorted QR when `perm` is given (and composing the pivots into it).
+    ///
+    /// Stored columns never move during the sweep: `order[k]` is the
+    /// stored column that takes position `k`, and each step's lane passes
+    /// run over the chunks that still hold an unplaced column. No step
+    /// stores single entries into rows that the next step's passes load
+    /// whole, which would stall those loads: a pivot moves no column
+    /// (reading `R` goes through `order`), and the entries below the
+    /// diagonal of placed columns are written once every step is done.
+    fn sweep(&mut self, perm: Option<&mut [usize]>) {
+        let (n, m) = (self.n, self.m);
+        let steps = m.min(n.saturating_sub(1));
+        let QrFactors {
+            a,
+            v_re,
+            v_im,
+            taus,
+            reduced,
+            order,
+            input_cols,
+            unplaced,
+            norms,
+            ..
+        } = self;
+        let s = a.stride;
+        // Every reflector entry is written by its step's column gather.
+        v_re.resize(reflector_offset(n, steps), F::ZERO);
+        v_im.resize(reflector_offset(n, steps), F::ZERO);
+        taus.clear();
+        reduced.clear();
+        order.clear();
+        order.extend(0..m);
+        unplaced.clear();
+        unplaced.resize(s, false);
+        unplaced[..m].fill(true);
+        if let Some(perm) = perm.as_deref() {
+            input_cols.clear();
+            input_cols.extend_from_slice(perm);
+            // The full squared column norms: one pass over the rows, the
+            // columns side by side.
+            norms.clear();
+            norms.resize(m, F::ZERO);
+            for i in 0..n {
+                let row = i * s..i * s + m;
+                let (row_re, row_im) = (&a.re[row.clone()], &a.im[row]);
+                for ((nj, &re), &im) in norms.iter_mut().zip(row_re).zip(row_im) {
+                    *nj += re * re + im * im;
+                }
             }
         }
-        let pivot = perm.map(|perm| SortedPivot {
-            perm,
-            norms: &mut self.norms,
-        });
-        householder_into(&mut self.r_full, &mut self.vs, &mut self.taus, pivot);
-        r_out.resize_for_overwrite(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                r_out[(i, j)] = self.r_full[(i, j)];
+        for k in 0..steps {
+            if perm.is_some() {
+                select_pivot(order, norms, input_cols, k);
+            }
+            let c = order[k];
+            unplaced[c] = false;
+            let v = reflector_offset(n, k)..reflector_offset(n, k + 1);
+            let (vr, vi) = (&mut v_re[v.clone()], &mut v_im[v]);
+            // Column c's tail and its squared norm, in row order.
+            let mut norm_sqr = F::ZERO;
+            for (i, (xr, xi)) in vr.iter_mut().zip(vi.iter_mut()).enumerate() {
+                let o = (k + i) * s + c;
+                (*xr, *xi) = (a.re[o], a.im[o]);
+                norm_sqr += *xr * *xr + *xi * *xi;
+            }
+            let norm_x = norm_sqr.sqrt();
+            // A negligible tail skips the step: no update, τ = 0.
+            let skip = norm_x <= F::epsilon();
+            let tau = if skip {
+                F::ZERO
+            } else {
+                let (ar, ai) = (vr[0], vi[0]);
+                let alpha_abs = (ar * ar + ai * ai).sqrt();
+                // β = −(α/|α|)·‖x‖, or −‖x‖ when α == 0.
+                let (br, bi) = if alpha_abs > F::ZERO {
+                    let scale = -norm_x / alpha_abs;
+                    (ar * scale, ai * scale)
+                } else {
+                    (-norm_x, F::ZERO)
+                };
+                // v = x − β·e₁; vᴴv = 2(‖x‖² + |x₀|·‖x‖), so τ = 2/(vᴴv).
+                vr[0] = ar - br;
+                vi[0] = ai - bi;
+                let vhv = norm_x * norm_x + alpha_abs * norm_x;
+                let tau = if vhv > F::ZERO { F::ONE / vhv } else { F::ZERO };
+                reflect(vr, vi, tau, a, k, |j| unplaced[j]);
+                // Column c becomes β·e₁ exactly; its zeros are written once
+                // the sweep is done (below), since later passes run over it.
+                a.set(k, c, Complex::new(br, bi));
+                tau
+            };
+            taus.push(tau);
+            reduced.push(!skip);
+            if perm.is_some() {
+                // Row k of R is final: each unplaced column's remaining
+                // norm loses |r_kj|².
+                for &j in &order[k + 1..] {
+                    let (re, im) = (a.re[k * s + j], a.im[k * s + j]);
+                    norms[j] -= re * re + im * im;
+                }
+            }
+        }
+        // The lane passes also ran over placed columns, below their
+        // diagonal. A reduced column is zero there; a skipped column keeps
+        // the tail it had at its step, which its reflector slot holds.
+        for (k, &r) in reduced.iter().enumerate() {
+            let v = reflector_offset(n, k)..reflector_offset(n, k + 1);
+            let (vr, vi) = (&v_re[v.clone()], &v_im[v]);
+            for i in k + 1..n {
+                let x = if r {
+                    Complex::zero()
+                } else {
+                    Complex::new(vr[i - k], vi[i - k])
+                };
+                a.set(i, order[k], x);
+            }
+        }
+        if let Some(perm) = perm {
+            for (p, &c) in perm.iter_mut().zip(order.iter()) {
+                *p = input_cols[c];
             }
         }
     }
@@ -387,96 +542,200 @@ impl<F: Float> QrFactors<F> {
     /// follow a [`QrFactors::factor`] of an `n × m` matrix with
     /// `y.len() == n`.
     pub fn apply_qty_into(&mut self, y: &[Complex<F>], ybar_out: &mut CVector<F>) -> F {
-        let (n, m) = self.r_full.shape();
-        assert_eq!(y.len(), n, "y length must equal rows of the factored H");
-        self.ybar.clear();
-        self.ybar.extend_from_slice(y);
-        apply_qh_slices(&self.vs, &self.taus, &mut self.ybar);
-        let tail_energy = crate::vector::norm_sqr(&self.ybar[m..]);
-        ybar_out.clear();
-        ybar_out.extend_from_slice(&self.ybar[..m]);
+        assert_eq!(
+            y.len(),
+            self.n,
+            "y length must equal rows of the factored H"
+        );
+        let mut work = std::mem::take(&mut self.work);
+        work.reset(self.n, 1);
+        for (i, &x) in y.iter().enumerate() {
+            work.set(i, 0, x);
+        }
+        self.apply_qty_block(&mut work);
+        work.ybar_into(0, ybar_out);
+        let tail_energy = work.tail(0);
+        self.work = work;
         tail_energy
     }
 
-    /// Batched [`QrFactors::apply_qty_into`]: apply the stored `Q^H` to a
-    /// whole block of receive vectors at once. `ys` is `n × B` (one column
-    /// per vector); on return `ybars` is `m × B` (column `b` is
-    /// `(Q^H y_b)[..m]`) and `tails[b]` is `‖(Q^H y_b)[m..]‖²`.
-    ///
-    /// This is the frame-serving GEMM apply: one reflector sweep updates
-    /// every column, with the inner loop running contiguously across the
-    /// block (row-major `ys`), instead of `B` separate vector replays.
-    /// Columns are arithmetically independent and each column performs the
-    /// exact per-reflector operation sequence of the vector path, so every
-    /// column is **bit-identical** to a standalone
-    /// [`QrFactors::apply_qty_into`] of that `y`.
+    /// Batched [`QrFactors::apply_qty_into`] on matrices: `ys` is `n × B`
+    /// (one column per receive vector); on return `ybars` is `m × B`
+    /// (column `b` is `(Q^H y_b)[..m]`) and `tails[b]` is
+    /// `‖(Q^H y_b)[m..]‖²`. Every column is bit-identical to a standalone
+    /// [`QrFactors::apply_qty_into`] of that `y`. The serving path fills a
+    /// [`QtyBlock`] directly and calls [`QrFactors::apply_qty_block`].
     pub fn apply_qty_block_into(
         &mut self,
         ys: &Matrix<F>,
         ybars: &mut Matrix<F>,
         tails: &mut Vec<F>,
     ) {
-        let (n, m) = self.r_full.shape();
-        assert_eq!(ys.rows(), n, "ys rows must equal rows of the factored H");
+        assert_eq!(
+            ys.rows(),
+            self.n,
+            "ys rows must equal rows of the factored H"
+        );
         let b = ys.cols();
-        self.yblock.resize_for_overwrite(n, b);
-        self.yblock.as_mut_slice().copy_from_slice(ys.as_slice());
-        if b == 1 {
-            // One column is one contiguous vector: run the vector sweep
-            // itself, without the per-row block bookkeeping that would
-            // cost a single receive vector more than the sweep.
-            apply_qh_slices(&self.vs, &self.taus, self.yblock.as_mut_slice());
-        } else {
-            self.apply_qh_block(b);
-        }
-        // Row-major: the first m rows of the block are ybars, contiguous.
-        ybars.resize_for_overwrite(m, b);
-        ybars
-            .as_mut_slice()
-            .copy_from_slice(&self.yblock.as_slice()[..m * b]);
-        tails.clear();
-        tails.resize(b, F::ZERO);
-        for i in m..n {
-            for (t, x) in tails.iter_mut().zip(self.yblock.row(i).iter()) {
-                *t += x.norm_sqr();
+        let mut work = std::mem::take(&mut self.work);
+        work.reset(self.n, b);
+        let s = work.y.stride;
+        for (i, row) in ys.as_slice().chunks_exact(b.max(1)).enumerate() {
+            let (re, im) = (&mut work.y.re[i * s..][..b], &mut work.y.im[i * s..][..b]);
+            for ((re, im), x) in re.iter_mut().zip(im.iter_mut()).zip(row) {
+                (*re, *im) = (x.re, x.im);
             }
         }
+        self.apply_qty_block(&mut work);
+        ybars.resize_for_overwrite(self.m, b);
+        for (i, row) in ybars.as_mut_slice().chunks_exact_mut(b.max(1)).enumerate() {
+            let (re, im) = (&work.y.re[i * s..][..b], &work.y.im[i * s..][..b]);
+            for ((x, &re), &im) in row.iter_mut().zip(re).zip(im) {
+                *x = Complex::new(re, im);
+            }
+        }
+        tails.clear();
+        tails.extend((0..b).map(|col| work.tail(col)));
+        self.work = work;
     }
 
-    /// Apply the stored `Q^H` to the `b` columns of `yblock` in place: one
-    /// reflector sweep across the block, each column summing its products
-    /// in the same order as `apply_qh_slices`.
-    fn apply_qh_block(&mut self, b: usize) {
-        for (k, (v, &tau)) in self.vs.iter().zip(self.taus.iter()).enumerate() {
+    /// Apply the stored `Q^H` to every receive vector of `block` in place,
+    /// the vectors side by side in lanes, and record each one's tail
+    /// energy `‖(Q^H y_b)[m..]‖²`. Every vector comes out bit-identical to
+    /// a standalone [`QrFactors::apply_qty_into`] of it.
+    pub fn apply_qty_block(&self, block: &mut QtyBlock<F>) {
+        let (n, m) = (self.n, self.m);
+        assert_eq!(
+            block.n, n,
+            "receive vectors must have the factored H's rows"
+        );
+        for (k, &tau) in self.taus.iter().enumerate() {
             if tau == F::ZERO {
                 continue;
             }
-            // w = v^H Y[k..] — accumulated row by row so each column sums
-            // its products in the same order as the vector path.
-            self.wrow.clear();
-            self.wrow.resize(b, Complex::zero());
-            for (i, vi) in v.iter().enumerate() {
-                let c = vi.conj();
-                for (w, x) in self.wrow.iter_mut().zip(self.yblock.row(k + i).iter()) {
-                    Complex::mul_acc(w, c, *x);
-                }
-            }
-            for w in self.wrow.iter_mut() {
-                *w = w.scale(tau);
-            }
-            // Y[k..] -= v w (rank-1 update, contiguous across the block).
-            for (i, &vi) in v.iter().enumerate() {
-                let wrow = &self.wrow;
-                for (x, w) in self.yblock.row_mut(k + i).iter_mut().zip(wrow.iter()) {
-                    *x -= *w * vi;
-                }
+            let v = reflector_offset(n, k)..reflector_offset(n, k + 1);
+            reflect(
+                &self.v_re[v.clone()],
+                &self.v_im[v],
+                tau,
+                &mut block.y,
+                k,
+                |_| true,
+            );
+        }
+        block.m = m;
+        let s = block.y.stride;
+        block.tails.clear();
+        block.tails.resize(s, F::ZERO);
+        for i in m..n {
+            let (row_re, row_im) = (&block.y.re[i * s..][..s], &block.y.im[i * s..][..s]);
+            for ((t, &re), &im) in block.tails.iter_mut().zip(row_re).zip(row_im) {
+                *t += re * re + im * im;
             }
         }
     }
 
     /// Shape `(n, m)` of the most recently factored matrix.
     pub fn shape(&self) -> (usize, usize) {
-        self.r_full.shape()
+        (self.n, self.m)
+    }
+}
+
+/// Before sorted step `k`: bring the unplaced column with the least
+/// remaining norm to position `k` of `order`. Ties go to the lowest input
+/// column (`perm` maps stored columns to input columns), and a NaN norm is
+/// ordered as `f64::total_cmp` orders it, so the choice cannot panic.
+///
+/// Each candidate is keyed by the integer image of `total_cmp` on its
+/// norm, packed above its input column, so the scan is one integer
+/// compare per candidate with no data-dependent branch.
+fn select_pivot<F: Float>(order: &mut [usize], norms: &[F], perm: &[usize], k: usize) {
+    let key = |p: usize| {
+        let c = order[p];
+        let bits = norms[c].to_f64().to_bits() as i64;
+        let total = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+        (i128::from(total) << 64) | perm[c] as i128
+    };
+    let (mut best, mut best_key) = (k, key(k));
+    for p in k + 1..order.len() {
+        let kp = key(p);
+        let less = kp < best_key;
+        best = if less { p } else { best };
+        best_key = if less { kp } else { best_key };
+    }
+    order.swap(k, best);
+}
+
+/// A block of `B` receive vectors of one channel, for
+/// [`QrFactors::apply_qty_block`]: split planes, one row per receive
+/// antenna and one lane per vector (padded to a whole lane chunk). After
+/// the apply, vector `b`'s `ȳ = (Qᴴy_b)[..m]` is read off column `b` and
+/// its tail energy from [`QtyBlock::tail`].
+#[derive(Clone, Debug, Default)]
+pub struct QtyBlock<F> {
+    y: Planes<F>,
+    /// Receive antennas `n`, vectors `B`, and `m`, the rows of `ȳ`, once
+    /// applied.
+    n: usize,
+    b: usize,
+    m: usize,
+    tails: Vec<F>,
+}
+
+impl<F: Float> QtyBlock<F> {
+    /// An empty block; buffers grow to steady state on first use.
+    pub fn new() -> Self {
+        QtyBlock {
+            y: Planes::default(),
+            n: 0,
+            b: 0,
+            m: 0,
+            tails: Vec::new(),
+        }
+    }
+
+    /// Start a block of `b` all-zero receive vectors of length `n`. A lone
+    /// vector is one lane wide; a block is padded to whole lane chunks.
+    pub fn reset(&mut self, n: usize, b: usize) {
+        let stride = if b == 1 { 1 } else { b.div_ceil(LANES) * LANES };
+        self.y.zeroed(n, stride);
+        self.n = n;
+        self.b = b;
+        self.m = 0;
+    }
+
+    /// Set entry `i` of receive vector `col`.
+    pub fn set(&mut self, i: usize, col: usize, x: Complex<F>) {
+        assert!(col < self.b, "vector {col} out of range ({})", self.b);
+        self.y.set(i, col, x);
+    }
+
+    /// Number of receive vectors `B`.
+    pub fn len(&self) -> usize {
+        self.b
+    }
+
+    /// Whether the block holds no vectors.
+    pub fn is_empty(&self) -> bool {
+        self.b == 0
+    }
+
+    /// Entry `i < m` of vector `col`'s `ȳ`, after the apply.
+    pub fn ybar(&self, i: usize, col: usize) -> Complex<F> {
+        debug_assert!(i < self.m && col < self.b);
+        self.y.get(i, col)
+    }
+
+    /// Vector `col`'s `ȳ = (Qᴴy)[..m]` into `out`, after the apply.
+    pub fn ybar_into(&self, col: usize, out: &mut CVector<F>) {
+        out.clear();
+        out.extend((0..self.m).map(|i| self.ybar(i, col)));
+    }
+
+    /// Vector `col`'s tail energy `‖(Qᴴy)[m..]‖²`, after the apply.
+    pub fn tail(&self, col: usize) -> F {
+        assert!(col < self.b, "vector {col} out of range ({})", self.b);
+        self.tails[col]
     }
 }
 
@@ -885,5 +1144,206 @@ mod tests {
             [0, 1, 2, 3, 4, 5]
         );
         assert_eq!(sorted_factor(&M::zeros(3, 0)).1, Vec::<usize>::new());
+    }
+
+    /// The shapes the kernel is pinned on: every `n × m` with
+    /// `1 ≤ m ≤ n`, from 1×1 to 18×16, and the tall 64×8.
+    fn oracle_shapes() -> impl Iterator<Item = (usize, usize)> {
+        (1..=18usize)
+            .flat_map(|n| (1..=n.min(16)).map(move |m| (n, m)))
+            .chain([(64, 8)])
+    }
+
+    /// Channel families the kernel must reproduce the oracle on.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Random,
+        AllZero,
+        ZeroColumn,
+        DuplicateColumn,
+        /// Unit-modulus entries: every column norm ties at the start.
+        TiedNorms,
+        Subnormal,
+        Huge,
+        Nan,
+        Infinity,
+    }
+
+    const KINDS: [Kind; 9] = [
+        Kind::Random,
+        Kind::AllZero,
+        Kind::ZeroColumn,
+        Kind::DuplicateColumn,
+        Kind::TiedNorms,
+        Kind::Subnormal,
+        Kind::Huge,
+        Kind::Nan,
+        Kind::Infinity,
+    ];
+
+    /// An `n × m` channel of `kind` in precision `F`; `tiny` and `huge`
+    /// are the subnormal and large scales of that precision.
+    fn oracle_channel<F: Float>(
+        kind: Kind,
+        n: usize,
+        m: usize,
+        rng: &mut StdRng,
+        (tiny, huge): (f64, f64),
+    ) -> Matrix<F> {
+        let (i, j, j2) = (
+            rng.gen_range(0..n),
+            rng.gen_range(0..m),
+            rng.gen_range(0..m),
+        );
+        let mut unit = |scale: f64| {
+            let (re, im): (f64, f64) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+            Complex::new(F::from_f64(re * scale), F::from_f64(im * scale))
+        };
+        let mut h = Matrix::from_fn(n, m, |_, _| unit(1.0));
+        match kind {
+            Kind::Random => {}
+            Kind::AllZero => h = Matrix::zeros(n, m),
+            Kind::ZeroColumn => (0..n).for_each(|r| h[(r, j)] = Complex::zero()),
+            Kind::DuplicateColumn => (0..n).for_each(|r| h[(r, j2)] = h[(r, j)]),
+            Kind::TiedNorms => {
+                // The sign pattern of the random draw picks each unit.
+                h = h.map(|x| match (x.re >= F::ZERO, x.im >= F::ZERO) {
+                    (true, true) => Complex::one(),
+                    (false, true) => Complex::new(F::ZERO, F::ONE),
+                    (true, false) => Complex::new(F::ZERO, -F::ONE),
+                    (false, false) => -Complex::one(),
+                });
+            }
+            Kind::Subnormal => h = Matrix::from_fn(n, m, |_, _| unit(tiny)),
+            Kind::Huge => h = Matrix::from_fn(n, m, |_, _| unit(huge)),
+            Kind::Nan => h[(i, j)].re = F::from_f64(f64::NAN),
+            Kind::Infinity => h[(i, j)].im = F::from_f64(f64::NEG_INFINITY),
+        }
+        h
+    }
+
+    /// Equal bit for bit, except that a NaN only has to meet a NaN:
+    /// scalar and packed fused multiply-adds may pick different NaN
+    /// payloads.
+    fn same_bits<F: Float>(got: &[Complex<F>], want: &[Complex<F>]) -> bool {
+        let bits = |x: F| x.to_f64().to_bits();
+        let part = |g: F, w: F| {
+            if w.to_f64().is_nan() {
+                g.to_f64().is_nan()
+            } else {
+                bits(g) == bits(w)
+            }
+        };
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| part(g.re, w.re) && part(g.im, w.im))
+    }
+
+    /// Pin one channel's factorization and applies to the scalar oracle:
+    /// `R`, the permutation, `Qᴴy` and the tail of a vector, and — when
+    /// `blocks` — every vector of blocks of `B ∈ {1, 2, 3, 9, 16, 64}`
+    /// against the oracle's per-vector apply.
+    fn check_against_oracle<F: Float>(
+        h: &Matrix<F>,
+        sorted: bool,
+        blocks: bool,
+        rng: &mut StdRng,
+    ) -> Result<(), String> {
+        let (n, m) = h.shape();
+        let label = format!("{n}x{m} sorted={sorted} {}", std::any::type_name::<F>());
+        let want = oracle::Oracle::factor(h, sorted);
+        let (mut factors, mut r, mut perm) = (QrFactors::new(), Matrix::zeros(0, 0), Vec::new());
+        if sorted {
+            factors.factor_sorted(h, &mut r, &mut perm);
+        } else {
+            factors.factor(h, &mut r);
+            perm.extend(0..m);
+        }
+        if perm != want.perm {
+            return Err(format!("{label}: perm {perm:?} != {:?}", want.perm));
+        }
+        if !same_bits(r.as_slice(), want.r().as_slice()) {
+            return Err(format!("{label}: R differs"));
+        }
+        let mut random_y = |len: usize| -> Vec<Complex<F>> {
+            (0..len)
+                .map(|_| Complex::from_f64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect()
+        };
+        let y = random_y(n);
+        let (ybar_want, tail_want) = want.apply_qty(&y);
+        let mut ybar = Vec::new();
+        let tail = factors.apply_qty_into(&y, &mut ybar);
+        if !same_bits(&ybar, &ybar_want)
+            || !same_bits(
+                &[Complex::from_real(tail)],
+                &[Complex::from_real(tail_want)],
+            )
+        {
+            return Err(format!("{label}: Qᴴy or tail differs"));
+        }
+        if blocks {
+            let mut block = QtyBlock::new();
+            for b in [1usize, 2, 3, 9, 16, 64] {
+                let ys: Vec<Vec<Complex<F>>> = (0..b).map(|_| random_y(n)).collect();
+                block.reset(n, b);
+                for (col, y) in ys.iter().enumerate() {
+                    for (i, &x) in y.iter().enumerate() {
+                        block.set(i, col, x);
+                    }
+                }
+                factors.apply_qty_block(&mut block);
+                // The oracle's block sweep must agree with its own
+                // per-vector apply, and the kernel with both.
+                let swept = want.apply_qty_block(&Matrix::from_fn(n, b, |i, col| ys[col][i]));
+                for (col, y) in ys.iter().enumerate() {
+                    let (ybar_want, tail_want) = want.apply_qty(y);
+                    let ybar_swept: Vec<_> = (0..m).map(|i| swept[(i, col)]).collect();
+                    block.ybar_into(col, &mut ybar);
+                    let tail = block.tail(col);
+                    if !same_bits(&ybar, &ybar_want)
+                        || !same_bits(&ybar_swept, &ybar_want)
+                        || !same_bits(
+                            &[Complex::from_real(tail)],
+                            &[Complex::from_real(tail_want)],
+                        )
+                    {
+                        return Err(format!("{label}: block B={b} vector {col} differs"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The lane kernel against today's scalar sweep, bit for bit, on
+        /// every shape from 1×1 to 18×16 plus 64×8, in both precisions and
+        /// both column orders. The block apply is pinned on the served
+        /// shapes and on one more shape per case.
+        #[test]
+        fn kernel_is_bit_identical_to_the_scalar_oracle(
+            kind in 0..KINDS.len(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let kind = KINDS[kind];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let extra = oracle_shapes().nth(rng.gen_range(0..oracle_shapes().count()));
+            for (n, m) in oracle_shapes() {
+                let blocks = matches!((n, m), (8, 8) | (18, 16) | (64, 8)) || Some((n, m)) == extra;
+                for sorted in [false, true] {
+                    let h64: Matrix<f64> = oracle_channel(kind, n, m, &mut rng, (1e-310, 1e150));
+                    let r64 = check_against_oracle(&h64, sorted, blocks, &mut rng);
+                    proptest::prop_assert!(r64.is_ok(), "{kind:?}: {}", r64.unwrap_err());
+                    let h32: Matrix<f32> = oracle_channel(kind, n, m, &mut rng, (1e-41, 1e18));
+                    let r32 = check_against_oracle(&h32, sorted, blocks, &mut rng);
+                    proptest::prop_assert!(r32.is_ok(), "{kind:?}: {}", r32.unwrap_err());
+                }
+            }
+        }
     }
 }

@@ -128,7 +128,7 @@ pub(crate) struct Worker {
     /// Constellation order `P`, an input to the analytic cost curves.
     order: usize,
     prep_scratch: PrepScratch<f64>,
-    /// Channel factorized on a cache miss, or copied out on a block hit.
+    /// Channel factorized on a cache miss, or copied out on a hit.
     chan: ChannelPrep<f64>,
     prep: Prepared<f64>,
     block: BlockPrep<f64>,
