@@ -99,8 +99,14 @@ echo "==> fused block decode exactness"
 # The fixed-point K-best and FSD sweeps, scalar and fused, must also
 # return their plain oracles' bits (reference::fx_kbest_reference,
 # fx_fsd_reference) in the release codegen the benchmark measures.
+# A fused K-best cut of a block of at least 8 subcarriers with at most 64
+# candidates each runs one bitonic network across the subcarriers in
+# lanes, which vectorize only in this codegen; smaller blocks and longer
+# lists cut each subcarrier with keep_best_slice. The network must keep
+# exactly what sort-then-truncate over (metric, index) keeps.
 cargo test -q --release --test block_fused
 cargo test -q --release --test quantized fixed_point_sweeps_match_the_reference
+cargo test -q --release -p sd-core --lib lane_network_is_sort_then_truncate
 cargo test -q --release --test alloc_free fused_block_decode
 cargo test -q --release --test alloc_free served_frames
 

@@ -1,7 +1,9 @@
 //! Node-expansion and end-to-end before/after benchmarks for the arena +
 //! batched-GEMM refactoring (ISSUE 1) and the subtree-parallel exact
 //! decoder (ISSUE 5), and the served exact rung's preparation layer by
-//! layer.
+//! layer. The `block_fx_cut_8x8` rows time the fused fixed-point K-best
+//! by block size, on both sides of the rule that cuts its survivors in
+//! lanes.
 //!
 //! "Before" is the seed formulation preserved in [`sd_core::reference`]:
 //! every open node owns a `Vec<usize>` path (cloned per expansion) and
@@ -186,14 +188,19 @@ const FUSE_N: usize = 8;
 const FUSE_BLOCK: usize = 16;
 const FUSE_K: usize = 16;
 
-/// One coherence block: `FUSE_BLOCK` receive vectors through a single
-/// channel draw (fresh transmit + noise per subcarrier).
-fn coherent_block(snr_db: f64) -> (Constellation, Vec<FrameData>) {
-    let c = Constellation::new(Modulation::Qam4);
+/// One coherence block: `len` 8×8 receive vectors through a single
+/// channel draw (fresh transmit + noise per subcarrier), drawn from `seed`.
+fn coherent_block(
+    modulation: Modulation,
+    snr_db: f64,
+    len: usize,
+    seed: u64,
+) -> (Constellation, Vec<FrameData>) {
+    let c = Constellation::new(modulation);
     let sigma2 = noise_variance(snr_db, FUSE_N);
-    let mut rng = StdRng::seed_from_u64(0xB10C);
+    let mut rng = StdRng::seed_from_u64(seed);
     let base = FrameData::generate(FUSE_N, FUSE_N, &c, sigma2, &mut rng);
-    let frames = (0..FUSE_BLOCK)
+    let frames = (0..len)
         .map(|_| {
             let mut f = base.clone();
             let fresh = FrameData::generate(FUSE_N, FUSE_N, &c, sigma2, &mut rng);
@@ -210,7 +217,7 @@ fn coherent_block(snr_db: f64) -> (Constellation, Vec<FrameData>) {
 /// the only difference timed here is B searches of k×K GEMMs against one
 /// search of k×B·K GEMMs per level.
 fn bench_block_fused(c: &mut Criterion) {
-    let (constellation, frames) = coherent_block(30.0);
+    let (constellation, frames) = coherent_block(Modulation::Qam4, 30.0, FUSE_BLOCK, 0xB10C);
     let engines: Vec<(&str, Box<dyn PreparedDetector<f64>>)> = vec![
         (
             "kbest16",
@@ -277,6 +284,63 @@ fn bench_block_fused(c: &mut Criterion) {
                 out[0].indices[0]
             });
         });
+    }
+    group.finish();
+}
+
+/// The fused fixed-point K-best's survivor cut, by block size: `(row
+/// name, modulation, SNR dB, block sizes)`. The QAM4 rows are the
+/// `grid8_fx` shape and cut 64 candidates per subcarrier; the 16-QAM rows
+/// cut 256. Together they straddle both bounds of the rule that sends a
+/// cut to the lane network (at least 8 subcarriers, at most 64
+/// candidates each).
+const FX_CUT_ROWS: [(&str, Modulation, f64, &[usize]); 2] = [
+    ("qam4_10db", Modulation::Qam4, 10.0, &[1, 4, 8, 16, 64]),
+    ("qam16_18db", Modulation::Qam16, 18.0, &[1, 8, 64]),
+];
+
+/// Subcarriers each [`FX_CUT_ROWS`] row cycles through, in blocks of
+/// its size, every block on a channel of its own. Served frames never
+/// repeat a block; one block decoded over and over would let the branch
+/// predictor learn the per-subcarrier selection's data.
+const FX_CUT_SUBCARRIERS: usize = 4096;
+
+/// The fused fixed-point K-best (K = 16) over blocks that each share one
+/// 8×8 channel, at every block size of [`FX_CUT_ROWS`]. Each row's
+/// throughput is the block's subcarriers, so `main` reports it per
+/// subcarrier.
+fn bench_fx_cut(c: &mut Criterion) {
+    let mut scratch = PrepScratch::new();
+    let mut block = BlockPrep::new();
+    let mut prep = Prepared::empty();
+    let mut ws = SearchWorkspace::new();
+    let mut group = c.benchmark_group("block_fx_cut_8x8");
+    group.sample_size(30);
+    for (name, modulation, snr_db, sizes) in FX_CUT_ROWS {
+        for &len in sizes {
+            let blocks: Vec<Vec<FrameData>> = (0..FX_CUT_SUBCARRIERS / len)
+                .map(|i| coherent_block(modulation, snr_db, len, 0xC07 + i as u64).1)
+                .collect();
+            let det = QuantizedKBestSd::new(Constellation::new(modulation), FUSE_K);
+            let mut out = vec![Detection::default(); len];
+            let mut next = blocks.iter().cycle();
+            let mut decode = || {
+                decode_block_fused_into(
+                    &det,
+                    next.next().expect("a cycle never ends"),
+                    &DecodeBudget::UNLIMITED,
+                    &mut scratch,
+                    &mut block,
+                    &mut prep,
+                    &mut ws,
+                    &mut out,
+                )
+                .1
+            };
+            assert!(decode(), "{name}/{len} must take the fused path");
+            group.throughput(Throughput::Elements(len as u64));
+            group.bench_function(BenchmarkId::new(name, len), |b| b.iter(&mut decode));
+        }
     }
     group.finish();
 }
@@ -502,6 +566,7 @@ fn main() {
     let mut c = Criterion::new();
     bench_node_expansion(&mut c);
     bench_block_fused(&mut c);
+    bench_fx_cut(&mut c);
     bench_preparation(&mut c);
     bench_end_to_end(&mut c);
 
@@ -528,6 +593,24 @@ fn main() {
     let fuse_kb = fuse("kbest16");
     let fuse_kb_fx = fuse("kbest16_fx");
     let fuse_fsd = fuse("fsd_fx_linf");
+
+    // The survivor-cut rows per subcarrier, with their spread.
+    let fx_cut: Vec<String> = c
+        .results()
+        .iter()
+        .filter_map(|r| {
+            let row = r.id.strip_prefix("block_fx_cut_8x8/")?;
+            let (name, len) = row.split_once('/')?;
+            let len: f64 = len.parse().ok()?;
+            Some(format!(
+                "    {{\"row\": \"{name}\", \"block\": {len}, \"ns_per_subcarrier\": {:.1}, \
+                 \"mad_ns\": {:.1}, \"samples\": {}}}",
+                r.ns_per_iter / len,
+                r.mad_ns / len,
+                r.samples
+            ))
+        })
+        .collect();
 
     let children = (BATCH * 16) as f64;
     // Record how many cores this run actually had so the numbers are
@@ -570,7 +653,9 @@ fn main() {
          \"k\": {FUSE_K},\n    \
          \"kbest16\": {{\"loop_ns\": {:.0}, \"fused_ns\": {:.0}, \"speedup\": {:.2}}},\n    \
          \"kbest16_fx\": {{\"loop_ns\": {:.0}, \"fused_ns\": {:.0}, \"speedup\": {:.2}}},\n    \
-         \"fsd_fx_linf\": {{\"loop_ns\": {:.0}, \"fused_ns\": {:.0}, \"speedup\": {:.2}}}\n  }}\n}}\n",
+         \"fsd_fx_linf\": {{\"loop_ns\": {:.0}, \"fused_ns\": {:.0}, \"speedup\": {:.2}}}\n  }},\n  \
+         \"block_fx_cut\": {{\"workload\": \"fused QuantizedKBestSd K={FUSE_K}, 8x8, one shared channel\", \
+         \"rows\": [\n{}\n  ]}}\n}}\n",
         rows.join(",\n"),
         children * 1e9 / before,
         children * 1e9 / after_blocked,
@@ -600,6 +685,7 @@ fn main() {
         fuse_fsd.0,
         fuse_fsd.1,
         fuse_fsd.2,
+        fx_cut.join(",\n"),
     );
 
     // Walk up from the bench crate to the workspace root.

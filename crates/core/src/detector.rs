@@ -9,13 +9,17 @@
 use sd_wireless::FrameData;
 use serde::{Deserialize, Serialize};
 
-/// Whether a decode ran the search to completion or was cut short by a
-/// [`DecodeBudget`](crate::engine::DecodeBudget).
+/// Whether a decode ran the search to completion, or was cut short by a
+/// [`DecodeBudget`](crate::engine::DecodeBudget) or by an input its
+/// search cannot finish on.
 ///
 /// `Exact` is the normal case and means the returned decision is whatever
 /// the engine's unbudgeted contract promises (ML-exact for the sphere
-/// decoders). `BudgetTruncated` means the search stopped early and
-/// returned the best-so-far leaf: still a complete symbol vector, but
+/// decoders). `BudgetTruncated` means the engine returned a fallback
+/// instead: the best-so-far leaf of a search that stopped early, the
+/// greedy leaf of a sphere search that no radius can make capture a leaf
+/// (every metric NaN), or the sliced matched filter of an MMSE system
+/// that cannot be solved. It is still a complete symbol vector, but
 /// possibly not the minimum-metric one. Downstream consumers (the serve
 /// ladder, BER accounting) treat a truncated decision exactly like a
 /// served decision from an approximate tier — usable, counted, and
@@ -26,10 +30,11 @@ pub enum SearchQuality {
     #[default]
     Exact,
     /// The search hit its [`DecodeBudget`](crate::engine::DecodeBudget)
-    /// and returned the best leaf found so far.
+    /// and returned the best leaf found so far, or could not finish on
+    /// its input and returned a complete fallback decision.
     BudgetTruncated {
-        /// Nodes generated when the budget tripped (the spend the serve
-        /// layer charges against its prediction).
+        /// Nodes generated when the search stopped (the spend the serve
+        /// layer charges against its prediction); 0 for MMSE.
         nodes_spent: u64,
     },
 }

@@ -264,40 +264,37 @@ impl<F: Float> SphereDecoder<F> {
         };
         let mut r2 = radius_sqr;
         loop {
-            if !dfs.walk(&[], F::ZERO, &mut incumbent) {
-                // The budget tripped: keep the best-so-far leaf, or
-                // complete one greedily if the budget expired before the
-                // first dive reached the bottom. Never restart — the
-                // spend is gone either way.
-                let spent = dfs.stats.nodes_generated;
-                if incumbent.best_path.is_empty() {
-                    incumbent.radius = greedy_tail(
-                        prep,
-                        self.eval,
-                        incumbent.best_path,
-                        F::ZERO,
-                        dfs.stats,
-                        &mut ws.scratch,
-                    );
-                    dfs.stats.leaves_reached += 1;
-                    dfs.stats.radius_updates += 1;
-                }
-                dfs.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
+            let finished = dfs.walk(&[], F::ZERO, &mut incumbent);
+            if finished && !incumbent.best_path.is_empty() {
                 break;
             }
-            if !incumbent.best_path.is_empty() {
-                break;
+            if finished && InitialRadius::can_restart(r2, dfs.stats.restarts) {
+                // Empty sphere: enlarge and retry (keeps the decoder exact
+                // for finite initial radii).
+                r2 *= InitialRadius::RESTART_GROWTH;
+                dfs.stats.restarts += 1;
+                dfs.sink.on_restart();
+                incumbent.radius = F::from_f64(r2);
+                continue;
             }
-            // Empty sphere: enlarge and retry (keeps the decoder exact
-            // for finite initial radii).
-            r2 *= InitialRadius::RESTART_GROWTH;
-            dfs.stats.restarts += 1;
-            dfs.sink.on_restart();
-            incumbent.radius = F::from_f64(r2);
-            assert!(
-                dfs.stats.restarts < 64,
-                "sphere radius failed to capture any leaf"
-            );
+            // The budget tripped, or the sphere is empty at a radius that
+            // restarting cannot grow: keep the best-so-far leaf, or
+            // complete one greedily if no walk reached the bottom.
+            let spent = dfs.stats.nodes_generated;
+            if incumbent.best_path.is_empty() {
+                incumbent.radius = greedy_tail(
+                    prep,
+                    self.eval,
+                    incumbent.best_path,
+                    F::ZERO,
+                    dfs.stats,
+                    &mut ws.scratch,
+                );
+                dfs.stats.leaves_reached += 1;
+                dfs.stats.radius_updates += 1;
+            }
+            dfs.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
+            break;
         }
         incumbent.radius
     }
@@ -533,7 +530,7 @@ impl<F: Float, S: DfsSink> Dfs<'_, F, S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::detector::Detector;
     use crate::ml::MlDetector;
@@ -557,6 +554,48 @@ mod tests {
             .map(|_| FrameData::generate(n, n, &c, sigma2, &mut rng))
             .collect();
         (c, f)
+    }
+
+    /// An 8×8 QAM4 vector whose `H` is scaled by 1e160: every entry is
+    /// finite, but its squared norms overflow, so every metric is NaN.
+    pub(crate) fn huge_channel_frame(seed: u64) -> (Constellation, FrameData) {
+        let (c, mut fs) = frames(8, Modulation::Qam4, 10.0, 1, seed);
+        let mut f = fs.remove(0);
+        for v in f.h.as_mut_slice() {
+            *v = v.scale(1e160);
+        }
+        assert!(f.h.is_finite());
+        (c, f)
+    }
+
+    /// A walk that captures no leaf at a radius restarting cannot grow —
+    /// NaN metrics under an infinite radius, or a zero radius — ends on
+    /// the greedy leaf, flagged, instead of restarting into a panic. A
+    /// zero channel without noise captures a leaf and stays exact.
+    #[test]
+    fn an_uncapturable_sphere_returns_the_flagged_greedy_leaf() {
+        let (c, huge) = huge_channel_frame(8);
+        for ordering in [ColumnOrdering::Natural, ColumnOrdering::Sorted] {
+            let sd = SphereDecoder::<f64>::new(c.clone()).with_ordering(ordering);
+            let det = sd.detect(&huge);
+            assert_eq!(det.indices.len(), 8);
+            assert!(det.indices.iter().all(|&i| i < c.order()));
+            assert!(det.stats.quality.is_truncated(), "{ordering:?}");
+            assert_eq!(det.stats.restarts, 0, "an infinite radius never grows");
+            assert_eq!(det.stats.leaves_reached, 1);
+        }
+        let (_, fs) = frames(4, Modulation::Qam4, 10.0, 1, 9);
+        let prep = preprocess::<f64>(&fs[0], &c);
+        let det = SphereDecoder::<f64>::new(c.clone()).detect_prepared(&prep, 0.0);
+        assert!(det.stats.quality.is_truncated());
+        assert_eq!(det.indices.len(), 4);
+
+        let mut zero = fs[0].clone();
+        zero.h = sd_math::Matrix::zeros(4, 4);
+        zero.noise_variance = 0.0;
+        let det = SphereDecoder::<f64>::new(c).detect(&zero);
+        assert_eq!(det.indices.len(), 4);
+        assert!(!det.stats.quality.is_truncated());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   ignores inter-stream interference entirely — cheapest, worst BER.
 
 use crate::arena::SearchWorkspace;
-use crate::detector::Detection;
+use crate::detector::{Detection, SearchQuality};
 use crate::engine::{impl_detector_via_prepared, PreparedDetector};
 use crate::preprocess::{PrepScratch, Prepared};
 use sd_math::{solve_hermitian, Complex, C64};
@@ -105,10 +105,16 @@ impl PreparedDetector<f64> for MmseDetector {
             a[(i, i)] += Complex::new(prep.noise_variance, 0.0);
         }
         let rhs = hh.mul_vec(&prep.y);
-        let x = solve_hermitian(&a, &rhs)
-            .expect("H^H H + σ² I is positive definite for σ² > 0 or full-rank H");
         out.stats.reset(0);
         out.stats.flops = sd_math::gemm::gemm_flops(m, n, m) + (m * m * m) as u64 * 8 / 3;
+        // H^H H + σ² I is positive definite for σ² > 0 or a full-rank H.
+        // When the solve fails anyway (a zero H at σ² = 0, or a channel
+        // whose Gram matrix overflows), slice the matched filter H^H y and
+        // flag the decision.
+        let x = solve_hermitian(&a, &rhs).unwrap_or_else(|_| {
+            out.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: 0 };
+            rhs
+        });
         out.indices.clear();
         out.indices
             .extend(x.iter().map(|&v| self.constellation.slice(v)));
@@ -207,6 +213,32 @@ mod tests {
             let f = noiseless_frame(&c, seed, 6);
             assert_eq!(mmse.detect(&f).indices, f.tx.indices);
         }
+    }
+
+    /// A channel whose Gram matrix overflows (`H` scaled by 1e160, still
+    /// finite) and a zero channel without noise both leave MMSE's system
+    /// singular: the decision is the sliced matched filter, complete and
+    /// flagged. A solvable system is not flagged.
+    #[test]
+    fn mmse_falls_back_to_the_matched_filter_when_the_solve_fails() {
+        let c = Constellation::new(Modulation::Qam4);
+        let mmse = MmseDetector::new(c.clone());
+        let mut huge = noiseless_frame(&c, 3, 8);
+        for v in huge.h.as_mut_slice() {
+            *v = v.scale(1e160);
+        }
+        let mut zero = noiseless_frame(&c, 4, 8);
+        zero.h = Matrix::zeros(8, 8);
+        zero.noise_variance = 0.0;
+        for f in [&huge, &zero] {
+            assert!(f.h.is_finite());
+            let det = mmse.detect(f);
+            assert_eq!(det.indices.len(), 8);
+            assert!(det.indices.iter().all(|&i| i < c.order()));
+            assert!(det.stats.quality.is_truncated());
+        }
+        let good = noiseless_frame(&c, 5, 8);
+        assert!(!mmse.detect(&good).stats.quality.is_truncated());
     }
 
     #[test]

@@ -434,6 +434,7 @@ impl<F: Float> ParallelSphereDecoder<F> {
 
         let eval = self.seq.eval;
         let mut r2 = radius_sqr;
+        let mut leafless = false;
         loop {
             rt.roots.clear();
             rt.root_paths.clear();
@@ -520,16 +521,18 @@ impl<F: Float> ParallelSphereDecoder<F> {
             }
 
             // Empty sphere: enlarge and retry (keeps the decoder exact
-            // for finite initial radii), mirroring the sequential loop.
+            // for finite initial radii), mirroring the sequential loop. A
+            // radius that restarting cannot grow ends the decode; the
+            // merge below completes a leaf greedily.
+            if !InitialRadius::can_restart(r2, out.stats.restarts) {
+                leafless = true;
+                break;
+            }
             r2 *= InitialRadius::RESTART_GROWTH;
             out.stats.restarts += 1;
             if let Some(t) = trace.as_deref_mut() {
                 t.on_restart();
             }
-            assert!(
-                out.stats.restarts < 64,
-                "sphere radius failed to capture any leaf"
-            );
         }
 
         // Merge worker stats and pick the incumbent: the shared radius
@@ -560,10 +563,10 @@ impl<F: Float> ParallelSphereDecoder<F> {
                 best_pd
             }
             None => {
-                // Only reachable on a tripped budget (an unbudgeted loop
-                // exits solely through `found`): no lane landed a leaf,
-                // so complete one greedily on the calling thread.
-                debug_assert!(tripped, "leafless exit without a tripped budget");
+                // Only reachable on a tripped budget or an empty sphere
+                // that restarting cannot fill: no lane landed a leaf, so
+                // complete one greedily on the calling thread.
+                debug_assert!(tripped || leafless, "leafless exit without a cause");
                 ws.best_path.clear();
                 let pd = greedy_tail(
                     prep,
@@ -586,7 +589,7 @@ impl<F: Float> ParallelSphereDecoder<F> {
                 pd
             }
         };
-        if tripped {
+        if tripped || leafless {
             out.stats.quality = SearchQuality::BudgetTruncated { nodes_spent: spent };
         }
         out.stats.final_radius_sqr = best_pd;
@@ -763,6 +766,20 @@ mod tests {
             .map(|_| FrameData::generate(n, n, &c, sigma2, &mut rng))
             .collect();
         (c, f)
+    }
+
+    /// The subtree-parallel decoder on a channel whose metrics are all
+    /// NaN: every lane comes back leafless at an infinite radius, so the
+    /// decode returns the greedy leaf, flagged, as the sequential one does.
+    #[test]
+    fn an_uncapturable_sphere_returns_the_flagged_greedy_leaf() {
+        let (c, huge) = crate::dfs::tests::huge_channel_frame(8);
+        let par = ParallelSphereDecoder::<f64>::new(c.clone()).with_workers(2);
+        let seq = SphereDecoder::<f64>::new(c);
+        let (got, want) = (par.detect(&huge), seq.detect(&huge));
+        assert!(got.stats.quality.is_truncated());
+        assert_eq!(got.indices, want.indices);
+        assert_eq!(got.stats.restarts, 0);
     }
 
     #[test]

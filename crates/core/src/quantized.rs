@@ -41,7 +41,7 @@ use crate::block::decode_prepared_loop;
 use crate::detector::{Detection, DetectionStats, SearchQuality};
 use crate::engine::{impl_detector_via_prepared, DecodeBudget, PreparedDetector};
 use crate::preprocess::{BlockPrep, Prepared};
-use crate::select::keep_best_slice;
+use crate::select::{keep_best_slice, LaneCut};
 use crate::trace::TraceSink;
 use sd_math::fixed::{
     coef_scale, quantize_i16, quantize_i32, MetricKind, MAX_FX_ANTENNAS, SYM_SCALE,
@@ -69,6 +69,18 @@ pub const MAX_QUANT_DEGRADATION_DB: f64 = 0.2;
 
 /// Largest constellation order the integer engines take (64-QAM).
 const MAX_ORDER: usize = 64;
+
+/// A fused K-best cut runs in [`LaneCut`]'s bitonic network, one lane per
+/// subcarrier, when the block has at least this many subcarriers and each
+/// at most [`LANE_CUT_MAX_CANDIDATES`] candidates; otherwise each
+/// subcarrier takes [`keep_best_slice`]. The network's cost is fixed by
+/// the shape and shared by the lanes, so it pays only over enough lanes
+/// and on short lists: the `block_fx_cut` rows of `BENCH_expansion.json`
+/// place both bounds (DESIGN.md, "The fixed-point K-best cut in lanes").
+const LANE_CUT_MIN_SUBCARRIERS: usize = 8;
+/// See [`LANE_CUT_MIN_SUBCARRIERS`]: 64 is QAM4's 16 parents × 4 children
+/// at the ladder's K = 16.
+const LANE_CUT_MAX_CANDIDATES: usize = 64;
 
 /// One tree level of a quantized problem.
 #[derive(Clone, Debug, Default)]
@@ -402,6 +414,8 @@ pub(crate) struct FxSweep {
     inc: Vec<i64>,
     /// One subcarrier's candidates at a K-best cut.
     cand: Vec<(i64, u32)>,
+    /// Every subcarrier's candidates at a K-best cut taken in lanes.
+    lanes: LaneCut,
     /// Leaf path under construction.
     path: Vec<usize>,
 }
@@ -510,34 +524,44 @@ impl FxSweep {
             let kept = match cut {
                 Cut::KBest(k) if gen > k => {
                     self.next.ensure(b * k, m);
-                    for (sc, d) in out.iter_mut().enumerate() {
-                        let first = sc * width;
-                        // Out of `self` while `keep` writes the survivors.
-                        let mut cand = std::mem::take(&mut self.cand);
-                        cand.clear();
-                        cand.extend(
-                            self.inc[first * p..(first + width) * p]
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &v)| {
-                                    (
-                                        metric.combine(self.cur.metric[first + (i >> shift)], v),
-                                        i as u32,
-                                    )
-                                }),
-                        );
-                        keep_best_slice(&mut cand, k, |a, b| a.cmp(b));
-                        for (slot, &(pd, key)) in cand[..k].iter().enumerate() {
-                            let key = key as usize;
-                            self.keep(
-                                sc * k + slot,
-                                first + (key >> shift),
-                                key & (p - 1),
-                                pd,
-                                depth,
-                            );
+                    if b >= LANE_CUT_MIN_SUBCARRIERS && gen <= LANE_CUT_MAX_CANDIDATES {
+                        let (pm, inc) = (&self.cur.metric, &self.inc);
+                        self.lanes.cut(b, gen, k, |sc, i| {
+                            metric.combine(pm[sc * width + (i >> shift)], inc[sc * gen + i])
+                        });
+                        for sc in 0..b {
+                            for slot in 0..k {
+                                let (pd, key) = self.lanes.survivor(sc, slot);
+                                let key = key as usize;
+                                let src = sc * width + (key >> shift);
+                                self.keep(sc * k + slot, src, key & (p - 1), pd, depth);
+                            }
                         }
-                        self.cand = cand;
+                    } else {
+                        for sc in 0..b {
+                            let first = sc * width;
+                            // Out of `self` while `keep` writes the survivors.
+                            let mut cand = std::mem::take(&mut self.cand);
+                            cand.clear();
+                            cand.extend(
+                                self.inc[first * p..(first + width) * p]
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(i, &v)| {
+                                        let pm = self.cur.metric[first + (i >> shift)];
+                                        (metric.combine(pm, v), i as u32)
+                                    }),
+                            );
+                            keep_best_slice(&mut cand, k, |a, b| a.cmp(b));
+                            for (slot, &(pd, key)) in cand[..k].iter().enumerate() {
+                                let key = key as usize;
+                                let src = first + (key >> shift);
+                                self.keep(sc * k + slot, src, key & (p - 1), pd, depth);
+                            }
+                            self.cand = cand;
+                        }
+                    }
+                    for d in out.iter_mut() {
                         d.stats.nodes_pruned += (gen - k) as u64;
                     }
                     if let Some(t) = trace.as_deref_mut() {

@@ -43,6 +43,19 @@ impl InitialRadius {
 
     /// The growth factor applied on an empty-sphere restart.
     pub const RESTART_GROWTH: f64 = 4.0;
+
+    /// Restarts after which an empty sphere ends the decode.
+    pub const MAX_RESTARTS: u64 = 63;
+
+    /// Whether a decode whose walk at squared radius `r2` captured no
+    /// leaf may restart, after `restarts` restarts so far. A finite
+    /// positive radius grows, up to [`Self::MAX_RESTARTS`]; an infinite one
+    /// (every metric NaN) or a zero one never captures more by growing. A
+    /// decode that may not restart returns its greedy leaf, flagged
+    /// [`SearchQuality::BudgetTruncated`](crate::detector::SearchQuality).
+    pub fn can_restart(r2: f64, restarts: u64) -> bool {
+        r2 > 0.0 && r2.is_finite() && restarts < Self::MAX_RESTARTS
+    }
 }
 
 #[cfg(test)]

@@ -373,40 +373,54 @@ fn fused_block_decode_steady_state_is_exactly_allocation_free() {
     // a whole coherence block — must hold the same steady-state guarantee
     // as the per-vector engines: once the workspace has warmed to the
     // fused frontier width (K × B lanes), decoding a block performs zero
-    // allocations across the float and quantized fusable engines.
+    // allocations across the float and quantized fusable engines. The
+    // 16-QAM block cuts each subcarrier on its own; the QAM4 block's
+    // fixed-point K-best cuts all 16 subcarriers at once in lanes.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sd_core::preprocess::BlockPrep;
     use sd_core::{decode_block_fused_into, DecodeBudget, Detection};
-    let c = sd_wireless::Constellation::new(sd_wireless::Modulation::Qam16);
-    let sigma2 = sd_wireless::noise_variance(14.0, 8);
-    let mut rng = StdRng::seed_from_u64(0xF05ED);
-    let base = sd_wireless::FrameData::generate(8, 8, &c, sigma2, &mut rng);
-    let frames: Vec<_> = (0..16)
-        .map(|_| {
-            let mut f = base.clone();
-            let fresh = sd_wireless::FrameData::generate(8, 8, &c, sigma2, &mut rng);
-            f.y = fresh.y;
-            f.tx = fresh.tx;
-            f
-        })
-        .collect();
-    let dets: Vec<Box<dyn PreparedDetector<f64>>> = vec![
-        Box::new(KBestSd::new(c.clone(), 16)),
-        Box::new(sd_core::QuantizedKBestSd::new(c.clone(), 16)),
-        Box::new(sd_core::QuantizedFsd::new(c)),
+    use sd_wireless::{Constellation, FrameData, Modulation};
+    let block = |c: &Constellation, seed: u64| -> Vec<FrameData> {
+        let sigma2 = sd_wireless::noise_variance(14.0, 8);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = FrameData::generate(8, 8, c, sigma2, &mut rng);
+        (0..16)
+            .map(|_| {
+                let mut f = base.clone();
+                let fresh = FrameData::generate(8, 8, c, sigma2, &mut rng);
+                f.y = fresh.y;
+                f.tx = fresh.tx;
+                f
+            })
+            .collect()
+    };
+    let (c16, c4) = (
+        Constellation::new(Modulation::Qam16),
+        Constellation::new(Modulation::Qam4),
+    );
+    let (qam16, qam4) = (block(&c16, 0xF05ED), block(&c4, 0xF05E4));
+    type Case<'a> = (Box<dyn PreparedDetector<f64>>, &'a [FrameData]);
+    let dets: Vec<Case> = vec![
+        (Box::new(KBestSd::new(c16.clone(), 16)), &qam16),
+        (
+            Box::new(sd_core::QuantizedKBestSd::new(c16.clone(), 16)),
+            &qam16,
+        ),
+        (Box::new(sd_core::QuantizedFsd::new(c16)), &qam16),
+        (Box::new(sd_core::QuantizedKBestSd::new(c4, 16)), &qam4),
     ];
     let mut scratch = sd_core::preprocess::PrepScratch::new();
     let mut block = BlockPrep::new();
     let mut prep = sd_core::preprocess::Prepared::empty();
     let mut ws = SearchWorkspace::new();
-    let mut out = vec![Detection::default(); frames.len()];
+    let mut out = vec![Detection::default(); 16];
     // Two warm-up passes: the level loop ping-pongs two frontier buffers,
     // so a single pass can leave the spare one under max capacity.
-    for det in dets.iter().chain(dets.iter()) {
+    for (det, frames) in dets.iter().chain(dets.iter()) {
         let (_, fused) = decode_block_fused_into(
             &**det,
-            &frames,
+            frames,
             &DecodeBudget::UNLIMITED,
             &mut scratch,
             &mut block,
@@ -418,10 +432,10 @@ fn fused_block_decode_steady_state_is_exactly_allocation_free() {
     }
     let window = Window::open();
     let mut nodes = 0;
-    for det in &dets {
+    for (det, frames) in &dets {
         decode_block_fused_into(
             &**det,
-            &frames,
+            frames,
             &DecodeBudget::UNLIMITED,
             &mut scratch,
             &mut block,
@@ -437,7 +451,7 @@ fn fused_block_decode_steady_state_is_exactly_allocation_free() {
     assert!(nodes > 10_000, "search too small to be meaningful: {nodes}");
     assert_eq!(
         delta, 0,
-        "{delta} allocations across 3 fused block decodes ({nodes} nodes): \
+        "{delta} allocations across 4 fused block decodes ({nodes} nodes): \
          the fused level loop allocates in steady state"
     );
 }

@@ -56,10 +56,12 @@ proptest! {
     /// The fixed-point K-best and FSD engines return their plain oracles'
     /// bits (`reference::fx_kbest_reference`, `fx_fsd_reference`):
     /// indices, every statistics field and the metric bits. Scalar decodes
-    /// and fused blocks of 1, 2 and 16 subcarriers; K ∈ {1, 3, 16, full
-    /// width} and n_fe ∈ {0, 1, 2}; budgets that stay untripped, trip
-    /// mid-sweep, or are zero; and blocks with tie-heavy (y = 0)
-    /// subcarriers.
+    /// and fused blocks of 1, 2, 7, 8, 16, 17 and 64 subcarriers — both
+    /// sides of the 8-subcarrier bound from which a fused K-best cut runs
+    /// in lanes, a lane count that is not a multiple of the vector width,
+    /// and the `grid8_fx` frame width; K ∈ {1, 3, 16, full width} and
+    /// n_fe ∈ {0, 1, 2}; budgets that stay untripped, trip mid-sweep, or
+    /// are zero; and blocks with tie-heavy (y = 0) subcarriers.
     #[test]
     fn fixed_point_sweeps_match_the_reference(
         n in 2usize..=10,
@@ -69,7 +71,7 @@ proptest! {
         metric in metric(),
         k_pick in 0usize..4,
         n_fe in 0usize..3,
-        b in prop_oneof![Just(1usize), Just(2), Just(16)],
+        b in prop_oneof![Just(1usize), Just(2), Just(7), Just(8), Just(16), Just(17), Just(64)],
         trip in 1usize..10,
         ties in any::<bool>(),
     ) {

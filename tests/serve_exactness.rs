@@ -507,3 +507,46 @@ fn malformed_requests_are_refused_and_serving_continues() {
     assert_eq!(snap.accepted, 1);
     assert_eq!(snap.served, 1);
 }
+
+/// A request whose channel is finite but whose squared norms overflow
+/// (`H` scaled by 1e160) passes admission, and every metric of its decode
+/// is NaN. The exact rung answers it with its greedy leaf, flagged as
+/// truncated; a good request after it is served bit-identically to a
+/// direct decode, the quality counters close, and shutdown is clean.
+#[test]
+fn an_overflowing_channel_is_answered_flagged_and_serving_continues() {
+    let cfg = workload();
+    let c = Constellation::new(cfg.modulation);
+    let tiers = default_registry(&c, &LadderConfig::default());
+    let rt = ServeRuntime::start(ServeConfig::default().with_workers(1), c.clone());
+    let mut reqs = build_requests(&cfg, &c);
+    let good = reqs.remove(1);
+    let mut huge = reqs.remove(0);
+    for v in huge.frame.h.as_mut_slice() {
+        *v = v.scale(1e160);
+    }
+    let (huge_id, good_id) = (huge.id, good.id);
+    let want = direct(&*tiers[0].detector, &good.frame);
+    rt.submit(huge).expect("a finite channel is admitted");
+    rt.submit(good).expect("a good request is admitted");
+    for _ in 0..2 {
+        let resp = rt
+            .collect_timeout(Duration::from_secs(10))
+            .expect("the worker survived");
+        assert_eq!(resp.tier, 0);
+        if resp.request.id == huge_id {
+            let d = &resp.detection;
+            assert!(d.stats.quality.is_truncated(), "{d:?}");
+            assert_eq!(d.indices.len(), cfg.n_tx);
+            assert!(d.indices.iter().all(|&i| i < c.order()));
+        } else {
+            assert_eq!(resp.request.id, good_id);
+            assert_bit_identical(&resp.detection, &want, "good request after a huge channel");
+        }
+    }
+    let (snap, leftover, _) = rt.shutdown();
+    assert!(leftover.is_empty());
+    assert_eq!(snap.served, 2);
+    assert_eq!(snap.budget_exhausted, 1);
+    assert_eq!(snap.quality_exact + snap.budget_exhausted, snap.served);
+}
